@@ -20,7 +20,6 @@ from typing import List, Optional
 
 from . import checks, core, grid, lattice, siegel, textio
 from .errors import (
-    CheckFailure,
     DimensionError,
     HeisError,
     LiteralSyntaxError,
@@ -194,9 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DimensionError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 4
     except HeisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

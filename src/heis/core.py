@@ -7,6 +7,8 @@ Elements are triples (x, y, t) with x, y in R^n and t in R, multiplied by
 The inverse forced by this law is (-x, -y, -t + x . y); the naive sign flip
 (-x, -y, -t) multiplies to (0, 0, -x . y) and is *not* a left or right
 inverse unless x . y = 0.  See tests for the regression pinning this down.
+The law and this inverse are computed only by `law` and `law_inverse`, over
+plain components, so H_n(Z) (lattice) and the grid triples share them.
 
 Also provided: the anisotropic dilations (x, y, t) -> (r x, r y, r^2 t),
 which are group automorphisms, and reduction modulo the integer subgroup
@@ -16,6 +18,7 @@ H_n(Z) to a canonical representative in the half-open cube [0, 1)^(2n+1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -31,8 +34,8 @@ def _as_vector(v: Sequence[float]) -> Tuple[float, ...]:
     return out
 
 
-def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(ai * bi for ai, bi in zip(a, b))
+def _dot(a: Sequence, b: Sequence):
+    return sum(map(operator.mul, a, b))
 
 
 @dataclass(frozen=True)
@@ -65,23 +68,32 @@ class RealElement:
         return RealElement((0.0,) * n, (0.0,) * n, 0.0)
 
 
+def law(x: Sequence, y: Sequence, t, x2: Sequence, y2: Sequence, t2) -> Tuple:
+    """The group law on plain components, for any number type:
+    (x, y, t)(x2, y2, t2) = (x + x2, y + y2, t + t2 + x2 . y).
+
+    Floats stay float64 and Python ints stay exact; the caller builds its
+    own element type from the returned (x, y, t).
+    """
+    if len(x) != len(x2):
+        raise DimensionError(f"dimension mismatch: {len(x)} vs {len(x2)}")
+    return (tuple(map(operator.add, x, x2)), tuple(map(operator.add, y, y2)),
+            t + t2 + _dot(x2, y))
+
+
+def law_inverse(x: Sequence, y: Sequence, t) -> Tuple:
+    """The two-sided inverse (-x, -y, -t + x . y) on plain components."""
+    return tuple(map(operator.neg, x)), tuple(map(operator.neg, y)), -t + _dot(x, y)
+
+
 def mul(g: RealElement, h: RealElement) -> RealElement:
     """Group product g h; the central slot picks up h.x . g.y."""
-    if g.n != h.n:
-        raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
-    x = tuple(a + b for a, b in zip(g.x, h.x))
-    y = tuple(a + b for a, b in zip(g.y, h.y))
-    t = g.t + h.t + _dot(h.x, g.y)
-    return RealElement(x, y, t)
+    return RealElement(*law(g.x, g.y, g.t, h.x, h.y, h.t))
 
 
 def inverse(g: RealElement) -> RealElement:
     """The two-sided inverse (-x, -y, -t + x . y)."""
-    return RealElement(
-        tuple(-c for c in g.x),
-        tuple(-c for c in g.y),
-        -g.t + _dot(g.x, g.y),
-    )
+    return RealElement(*law_inverse(g.x, g.y, g.t))
 
 
 def naive_inverse(g: RealElement) -> RealElement:
@@ -147,11 +159,15 @@ def coset_reduce(g: RealElement) -> CosetReduction:
 
     With gamma = (k, l, m), the product gamma . g is
     (k + x, l + y, m + t + x . l), so k and l are fixed coordinatewise by
-    x and y, and m is then fixed by t + x . l.
+    x and y, and m is then fixed by t + x . l.  Raises ParameterError when
+    t + x . l overflows the float range, since m is then undefined.
     """
     k, rx = zip(*(_frac_split(c) for c in g.x))
     l, ry = zip(*(_frac_split(c) for c in g.y))
-    m, rt = _frac_split(g.t + _dot(g.x, l))
+    central = g.t + _dot(g.x, l)
+    if not math.isfinite(central):
+        raise ParameterError(f"t + x . l overflows to {central} in coset reduction")
+    m, rt = _frac_split(central)
     return CosetReduction(tuple(k), tuple(l), m, RealElement(rx, ry, rt))
 
 

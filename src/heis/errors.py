@@ -27,10 +27,3 @@ class WordSyntaxError(HeisError):
 class LiteralSyntaxError(HeisError):
     """An element/point text literal failed to parse."""
 
-
-class OverflowArithmeticError(HeisError):
-    """Integer arithmetic exceeded the configured width."""
-
-
-class CheckFailure(HeisError):
-    """A property-check verb found a counterexample."""

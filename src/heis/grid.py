@@ -9,9 +9,10 @@ operators satisfy the commutation relation
 
 *exactly* (up to complex rounding), because T is a coordinate permutation and
 U is a diagonal of N-th roots of unity.  With central times quantized as
-t = s / (lambda N), the map (p, q, s) -> T o U o C_{exp(2 pi i s / N)} is a
-homomorphism from the quantized Heisenberg group; its kernel is the triples
-with p, q, s all divisible by N.
+t = s / (lambda N), the map rep: (p, q, s) -> T_p o U_q o C_{exp(2 pi i s / N)}
+is a representation of the integer Heisenberg group H_n(Z): a triple is a
+lattice.LatticeElement with (p, q, s) = (k, l, m), and triples multiply by
+lattice.lmul.  Its kernel is the triples with p, q, s all divisible by N.
 
 Every phase is read from a table of the N roots exp(2 pi i k / N): U's
 diagonal is roots[(q . j) mod N], and alpha and the central phase are
@@ -31,11 +32,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO, Tuple
+from typing import Callable, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
+from .lattice import LatticeElement, linverse, lmul
 
 MAX_GRID_POINTS = 2**20
 
@@ -202,47 +204,15 @@ def weyl_alpha(p: Sequence[int], q: Sequence[int], spec: GridSpec) -> complex:
 
 # --- the representation -----------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantizedTriple:
-    """(p, q, s): shift p, modulation q, central phase step s."""
-
-    p: Tuple[int, ...]
-    q: Tuple[int, ...]
-    s: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(c) for c in self.p))
-        object.__setattr__(self, "q", tuple(int(c) for c in self.q))
-        object.__setattr__(self, "s", int(self.s))
-        if len(self.p) == 0 or len(self.p) != len(self.q):
-            raise DimensionError("p and q must have equal length n >= 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
+# A grid triple (p, q, s) is the H_n(Z) element (k, l, m); the names stay for callers.
+QuantizedTriple = LatticeElement
+triple_mul = lmul
+triple_inverse = linverse
 
 
-def triple_mul(g: QuantizedTriple, h: QuantizedTriple) -> QuantizedTriple:
-    """The Heisenberg law on quantized triples: central slot gains h.p . g.q."""
-    if g.n != h.n:
-        raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
-    return QuantizedTriple(
-        tuple(a + b for a, b in zip(g.p, h.p)),
-        tuple(a + b for a, b in zip(g.q, h.q)),
-        g.s + h.s + sum(a * b for a, b in zip(h.p, g.q)),
-    )
-
-
-def triple_inverse(g: QuantizedTriple) -> QuantizedTriple:
-    return QuantizedTriple(
-        tuple(-c for c in g.p),
-        tuple(-c for c in g.q),
-        -g.s + sum(a * b for a, b in zip(g.p, g.q)),
-    )
-
-
-def rep(g: QuantizedTriple, spec: GridSpec) -> Callable[[GridFunction], GridFunction]:
-    """The operator T_p o U_q o C_alpha with alpha = exp(2 pi i s / N).
+def rep(g: LatticeElement, spec: GridSpec) -> Callable[[GridFunction], GridFunction]:
+    """The operator T_p o U_q o C_alpha with alpha = exp(2 pi i s / N), where
+    (p, q, s) = (g.k, g.l, g.m).
 
     Matrix-free: returns a function applying the permutation, the diagonal
     phase and the scalar in turn.
@@ -250,10 +220,10 @@ def rep(g: QuantizedTriple, spec: GridSpec) -> Callable[[GridFunction], GridFunc
     if g.n != spec.n:
         raise DimensionError(f"triple has dimension {g.n}, grid has {spec.n}")
     roots, _, _ = _tables(spec.n, spec.N)
-    alpha = complex(roots[g.s % spec.N])
+    alpha = complex(roots[g.m % spec.N])
 
     def operator(f: GridFunction) -> GridFunction:
-        return apply_T(g.p, apply_U(g.q, apply_C(alpha, f)))
+        return apply_T(g.k, apply_U(g.l, apply_C(alpha, f)))
 
     return operator
 

@@ -44,13 +44,6 @@ def _parse_float(tok: str) -> float:
         raise LiteralSyntaxError(f"invalid real literal {tok!r}") from None
 
 
-def _parse_int(tok: str) -> int:
-    try:
-        return int(tok, 10)
-    except ValueError:
-        raise LiteralSyntaxError(f"invalid integer literal {tok!r}") from None
-
-
 def _parse_complex(tok: str) -> complex:
     # python's complex() accepts `a+bj`; the surface syntax uses `i`
     normalized = tok.strip().replace("i", "j").replace(" ", "")
@@ -82,15 +75,6 @@ def format_real_element(g: RealElement) -> str:
         + ";"
         + fmt_real(g.t)
     )
-
-
-def parse_lattice_element(text: str, n: int) -> LatticeElement:
-    ks, ls, ms = _split_blocks(text, 3)
-    k = tuple(_parse_int(c) for c in ks.split(","))
-    l = tuple(_parse_int(c) for c in ls.split(","))
-    _check_len(k, n)
-    _check_len(l, n)
-    return LatticeElement(k, l, _parse_int(ms))
 
 
 def format_lattice_element(g: LatticeElement) -> str:

@@ -84,6 +84,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, "dilate", "--n", "1", "--r", "-2", "1;1;1")
         assert code == 3
 
+    def test_reduce_overflow(self, capsys):
+        # t + x . l = 1e200 * -1e200 overflows before the central slot is reduced
+        code, out, err = run(capsys, "reduce", "--n", "1", "1e200;1e200;0")
+        assert (code, out) == (3, "")
+        assert "overflow" in err
+
+    @pytest.mark.parametrize("verb", ["rep-check", "siegel-check"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_vacuous_check(self, capsys, verb, trials):
+        code, out, err = run(capsys, verb, "--n", "1", "--trials", trials, "--seed", "1")
+        assert (code, out) == (3, "")
+        assert "trials must be >= 1" in err
+
     def test_success_paths_are_zero(self, capsys):
         assert run(capsys, "relcheck", "--n", "1")[0] == 0
         assert run(capsys, "siegel-check", "--n", "1", "--trials", "5", "--seed", "3")[0] == 0

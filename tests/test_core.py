@@ -140,6 +140,11 @@ class TestCosetReduce:
         again = core.coset_reduce(red.rep)
         assert (again.k, again.l, again.m) == ((0,), (0,), 0)
 
+    def test_overflow_is_a_parameter_error(self):
+        # finite input, but t + x . l = 1e200 * -1e200 is -inf
+        with pytest.raises(ParameterError, match="overflow"):
+            core.coset_reduce(elem(1e200, 1e200, 0.0))
+
     def test_translator_unique_in_window(self):
         # no two distinct small integer translators both land g in the cube
         for g in (elem(0.3, 0.6, 0.9), elem(1.2, -0.7, 0.1), elem(-0.5, 0.5, 1.5)):

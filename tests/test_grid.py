@@ -270,8 +270,8 @@ class TestRepresentation:
         g2 = grid.QuantizedTriple((5,), (7,), 4)
         prod = grid.triple_mul(g, g2)
         lhs = grid.rep(g, s)(grid.rep(g2, s)(f))
-        alpha = cmath.exp(2j * cmath.pi * prod.s / 8)
-        rhs = grid.apply_T(prod.p, grid.apply_U(prod.q, grid.apply_C(alpha, f)))
+        alpha = cmath.exp(2j * cmath.pi * prod.m / 8)
+        rhs = grid.apply_T(prod.k, grid.apply_U(prod.l, grid.apply_C(alpha, f)))
         assert lhs.max_abs_diff(rhs) <= 1e-12
 
 
