@@ -13,9 +13,13 @@ from typing import List, Tuple
 import numpy as np
 
 from . import grid, lattice, siegel
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
+REP_TOL = 1e-12                  # rep-check: max deviation of every property
+COMMUTATOR_RATIO = (3.5, 4.5)    # commutator: admissible defect ratio at N vs 2N
+SIEGEL_BOUND = 10.0              # siegel-check: samples are drawn from [-bound, bound]
+SIEGEL_TOL = 1e-10               # siegel-check: max deviation of every property
 
 
 def _fmt(v: float) -> str:
@@ -27,10 +31,14 @@ def _verdict(lines: List[str], ok: bool) -> Tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def _check_trials(trials: int) -> None:
+def _check_run(n: int, trials: int, seed: int) -> None:
+    if n < 1:
+        raise DimensionError("n must be >= 1")
     # with no trials every maximum stays 0 and the suite would pass vacuously
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
 
 
 def relation_check(n: int) -> Tuple[str, bool]:
@@ -49,9 +57,9 @@ def _random_grid_function(rng: np.random.Generator, spec: grid.GridSpec) -> grid
 
 
 def rep_check(n: int, N: int, trials: int, seed: int,
-              L: float = 1.0, lam: float = 1.0, tol: float = 1e-12) -> Tuple[str, bool]:
+              L: float = 1.0, lam: float = 1.0) -> Tuple[str, bool]:
     """Weyl relation, homomorphism, inverse, and kernel checks on the grid."""
-    _check_trials(trials)
+    _check_run(n, trials, seed)
     spec = grid.GridSpec(n, N, L, lam)
     rng = np.random.default_rng(seed)
     lines = [f"rep-check: n={n} N={N} L={L:.17g} lambda={lam:.17g} trials={trials} seed={seed}"]
@@ -91,13 +99,13 @@ def rep_check(n: int, N: int, trials: int, seed: int,
     kernel_ok = True
     for s in range(2 * N):
         is_id = grid.is_identity_operator(
-            grid.rep(grid.QuantizedTriple((0,) * n, (0,) * n, s), spec), spec, tol
+            grid.rep(grid.QuantizedTriple((0,) * n, (0,) * n, s), spec), spec, REP_TOL
         )
         if is_id != (s % N == 0):
             kernel_ok = False
             lines.append(f"kernel violation at s={s}")
     nontrivial = grid.QuantizedTriple((1,) + (0,) * (n - 1), (0,) * n, 0)
-    if grid.is_identity_operator(grid.rep(nontrivial, spec), spec, tol):
+    if grid.is_identity_operator(grid.rep(nontrivial, spec), spec, REP_TOL):
         kernel_ok = False
         lines.append("kernel violation: nontrivial shift acts as identity")
 
@@ -105,12 +113,11 @@ def rep_check(n: int, N: int, trials: int, seed: int,
     lines.append(f"max homomorphism deviation: {_fmt(max_hom)}")
     lines.append(f"max inverse deviation: {_fmt(max_inv)}")
     lines.append(f"kernel check: {'ok' if kernel_ok else 'FAILED'}")
-    ok = kernel_ok and max(max_weyl, max_hom, max_inv) <= tol
+    ok = kernel_ok and max(max_weyl, max_hom, max_inv) <= REP_TOL
     return _verdict(lines, ok)
 
 
-def commutator_check(N: int, ratio_lo: float = 3.5, ratio_hi: float = 4.5,
-                     L: float = 1.0) -> Tuple[str, bool]:
+def commutator_check(N: int, L: float = 1.0) -> Tuple[str, bool]:
     """Second-order convergence of the difference/multiplication commutator.
 
     Measures the interior defect for f = sin(2 pi w / L), mu(w) = w, nu = 1
@@ -130,13 +137,13 @@ def commutator_check(N: int, ratio_lo: float = 3.5, ratio_hi: float = 4.5,
         f"interior defect at N={2 * N}: {_fmt(defects[1])}",
         f"defect ratio: {ratio:.6f}",
     ]
-    return _verdict(lines, ratio_lo <= ratio <= ratio_hi)
+    return _verdict(lines, COMMUTATOR_RATIO[0] <= ratio <= COMMUTATOR_RATIO[1])
 
 
-def siegel_check(n: int, trials: int, seed: int, bound: float = 10.0,
-                 tol: float = 1e-10) -> Tuple[str, bool]:
+def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Height invariance, action composition, and dilation equivariance."""
-    _check_trials(trials)
+    _check_run(n, trials, seed)
+    bound = SIEGEL_BOUND
     rng = np.random.default_rng(seed)
     lines = [f"siegel-check: n={n} trials={trials} seed={seed} bound={bound:.17g}"]
 
@@ -171,5 +178,5 @@ def siegel_check(n: int, trials: int, seed: int, bound: float = 10.0,
     lines.append(f"max height-invariance deviation: {_fmt(max_height)}")
     lines.append(f"composition-identity failures: {compose_fails}")
     lines.append(f"max dilation-equivariance deviation: {_fmt(max_equiv)}")
-    ok = max_height <= tol and compose_fails == 0 and max_equiv <= tol
+    ok = max_height <= SIEGEL_TOL and compose_fails == 0 and max_equiv <= SIEGEL_TOL
     return _verdict(lines, ok)

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, finite_output
 
 
 def _as_vector(v: Sequence[float]) -> Tuple[float, ...]:
@@ -88,12 +88,12 @@ def law_inverse(x: Sequence, y: Sequence, t) -> Tuple:
 
 def mul(g: RealElement, h: RealElement) -> RealElement:
     """Group product g h; the central slot picks up h.x . g.y."""
-    return RealElement(*law(g.x, g.y, g.t, h.x, h.y, h.t))
+    return finite_output(RealElement, "product", *law(g.x, g.y, g.t, h.x, h.y, h.t))
 
 
 def inverse(g: RealElement) -> RealElement:
     """The two-sided inverse (-x, -y, -t + x . y)."""
-    return RealElement(*law_inverse(g.x, g.y, g.t))
+    return finite_output(RealElement, "inverse", *law_inverse(g.x, g.y, g.t))
 
 
 def naive_inverse(g: RealElement) -> RealElement:
@@ -119,7 +119,8 @@ class Dilation:
 
 def dilate(d: Dilation, g: RealElement) -> RealElement:
     r = d.r
-    return RealElement(
+    return finite_output(
+        RealElement, "dilation",
         tuple(r * c for c in g.x),
         tuple(r * c for c in g.y),
         r * r * g.t,

@@ -27,3 +27,11 @@ class WordSyntaxError(HeisError):
 class LiteralSyntaxError(HeisError):
     """An element/point text literal failed to parse."""
 
+
+def finite_output(cls, operation: str, *parts):
+    """`cls(*parts)` for the output of an operation on finite operands, where a
+    non-finite component can only be a float overflow: the error says so."""
+    try:
+        return cls(*parts)
+    except ParameterError:
+        raise ParameterError(f"{operation} overflows the float range") from None

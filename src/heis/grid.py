@@ -108,13 +108,6 @@ class GridFunction:
         return obj
 
     @staticmethod
-    def sample(spec: GridSpec, func: Callable[..., complex]) -> "GridFunction":
-        """Sample func(w_1, ..., w_n) at the grid coordinates."""
-        coords = np.meshgrid(*(np.arange(spec.N) * spec.h for _ in range(spec.n)),
-                             indexing="ij")
-        return GridFunction(spec, np.vectorize(func)(*coords))
-
-    @staticmethod
     def basis(spec: GridSpec, flat_index: int) -> "GridFunction":
         v = np.zeros(spec.shape, dtype=np.complex128)
         v.flat[flat_index] = 1.0
@@ -310,20 +303,24 @@ def write_grid_function(f: GridFunction, stream: TextIO) -> None:
 
 
 def read_grid_function(stream: TextIO) -> GridFunction:
-    header = stream.readline().split()
-    if len(header) != 4:
-        raise ParameterError("grid function header must be `n N L lambda`")
-    n, N = int(header[0]), int(header[1])
-    L, lam = float(header[2]), float(header[3])
-    spec = GridSpec(n, N, L, lam)
-    values = []
-    for line in stream:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParameterError(f"expected `re im`, got {line.strip()!r}")
-        values.append(complex(float(parts[0]), float(parts[1])))
+    """Read what `write_grid_function` writes; a malformed file raises ParameterError."""
+    try:
+        header = stream.readline().split()
+        if len(header) != 4:
+            raise ParameterError("grid function header must be `n N L lambda`")
+        n, N = int(header[0]), int(header[1])
+        L, lam = float(header[2]), float(header[3])
+        spec = GridSpec(n, N, L, lam)
+        values = []
+        for line in stream:
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParameterError(f"expected `re im`, got {line.strip()!r}")
+            values.append(complex(float(parts[0]), float(parts[1])))
+    except ValueError as exc:
+        raise ParameterError(f"malformed grid function file: {exc}") from None
     if len(values) != N**n:
         raise ParameterError(f"expected {N**n} samples, got {len(values)}")
     return GridFunction(spec, np.array(values))

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, finite_output
 
 BOUNDARY_TOL = 1e-12
 
@@ -69,7 +69,8 @@ def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
     if g.n != h.n:
         raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
     twist = 2.0 * sum((a * b.conjugate() for a, b in zip(g.z, h.z)), 0j).imag
-    return ComplexElement(
+    return finite_output(
+        ComplexElement, "product",
         tuple(a + b for a, b in zip(g.z, h.z)),
         g.t + h.t + twist,
     )
@@ -98,9 +99,14 @@ class SiegelPoint:
         return len(self.w)
 
 
+def _norm2(v: Sequence[complex]) -> float:
+    # a * a overflows to inf, where abs(c) ** 2 would raise OverflowError
+    return sum(a * a for a in map(abs, v))
+
+
 def height(p: SiegelPoint) -> float:
     """Im sigma - |w|^2; positive inside the domain, zero on its boundary."""
-    return p.sigma.imag - sum(abs(c) ** 2 for c in p.w)
+    return p.sigma.imag - _norm2(p.w)
 
 
 def classify(p: SiegelPoint, tol: float = BOUNDARY_TOL) -> str:
@@ -118,9 +124,8 @@ def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     if g.n != p.n:
         raise DimensionError(f"dimension mismatch: {g.n} vs {p.n}")
     cross = sum((wj * zj.conjugate() for wj, zj in zip(p.w, g.z)), 0j)
-    znorm2 = sum(abs(c) ** 2 for c in g.z)
-    sigma = p.sigma + g.t + 1j * znorm2 + 2j * cross
-    return SiegelPoint(tuple(a + b for a, b in zip(p.w, g.z)), sigma)
+    sigma = p.sigma + g.t + 1j * _norm2(g.z) + 2j * cross
+    return finite_output(SiegelPoint, "action", tuple(a + b for a, b in zip(p.w, g.z)), sigma)
 
 
 def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint,
@@ -157,9 +162,9 @@ class ComplexDilation:
 
 
 def cdilate(d: ComplexDilation, g: ComplexElement) -> ComplexElement:
-    return ComplexElement(tuple(d.r * c for c in g.z), d.r * d.r * g.t)
+    return finite_output(ComplexElement, "dilation", tuple(d.r * c for c in g.z), d.r * d.r * g.t)
 
 
 def domain_dilate(d: ComplexDilation, p: SiegelPoint) -> SiegelPoint:
     """Scales the height by exactly r^2, so preserves domain and boundary."""
-    return SiegelPoint(tuple(d.r * c for c in p.w), d.r * d.r * p.sigma)
+    return finite_output(SiegelPoint, "dilation", tuple(d.r * c for c in p.w), d.r * d.r * p.sigma)

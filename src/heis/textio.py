@@ -1,9 +1,15 @@
-"""Canonical text forms for elements and points.
+"""Canonical text forms for elements and points; this is their grammar.
 
 Real element:     `x1,...,xn ; y1,...,yn ; t`
 Integer element:  `k1,...,kn ; l1,...,ln ; m`
-Complex element:  `re1+im1i,...,ren+imni ; t`
-Siegel point:     `w1,...,wn ; sigma`      (same complex literal syntax)
+Complex element:  `z1,...,zn ; t`
+Siegel point:     `w1,...,wn ; sigma`
+
+A real is what Python's float() reads (`2`, `-0.5`, `1e-3`, `inf`, `nan`).  A
+complex is `a`, `bi`, `a+bi` or `a-bi` for reals a and b, where b may be left
+out (`i`, `1-i`); the unit `i` only trails, and `j` is rejected.  Blanks around
+a block or a component, and inside a complex, are ignored.  A non-finite value
+parses, and the element's constructor rejects it as a domain error.
 
 Reals are printed with 17 significant digits, which round-trips float64
 exactly; integers are printed as plain decimals.
@@ -45,12 +51,14 @@ def _parse_float(tok: str) -> float:
 
 
 def _parse_complex(tok: str) -> complex:
-    # python's complex() accepts `a+bj`; the surface syntax uses `i`
-    normalized = tok.strip().replace("i", "j").replace(" ", "")
-    try:
-        return complex(normalized)
-    except ValueError:
-        raise LiteralSyntaxError(f"invalid complex literal {tok!r}") from None
+    # complex() reads `a+bj`: the one trailing `i` becomes its `j`
+    text = tok.replace(" ", "")
+    if "j" not in text.lower():
+        try:
+            return complex(text[:-1] + "j") if text.endswith("i") else complex(float(text))
+        except ValueError:
+            pass
+    raise LiteralSyntaxError(f"invalid complex literal {tok!r}")
 
 
 def _check_len(parts, n: int) -> None:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heis import grid
+from heis import cli, grid
 from heis.cli import main
 
 
@@ -97,6 +97,76 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "trials must be >= 1" in err
 
+    @pytest.mark.parametrize("verb", ["rep-check", "siegel-check"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_check_dimension(self, capsys, verb, n):
+        code, out, err = run(capsys, verb, "--n", n, "--trials", "1", "--seed", "1")
+        assert (code, out) == (3, "")
+        assert "n must be >= 1" in err
+
+    @pytest.mark.parametrize("verb", ["rep-check", "siegel-check"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+    def test_bad_seed_option(self, capsys, verb, seed):
+        code, out, err = run(capsys, verb, "--n", "1", "--trials", "1", "--seed", seed)
+        assert (code, out) == (3, "")
+        assert "seed must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("seed", ["abc", "-3"])
+    def test_bad_seed_environment(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("HEIS_SEED", seed)
+        code, out, err = run(capsys, "siegel-check", "--n", "1", "--trials", "1")
+        assert (code, out) == (3, "")
+        assert "seed must be a non-negative integer" in err
+
+    def test_siegel_act_overflow(self, capsys):
+        # |z|^2 = 1e320 overflows; squaring with ** 2 used to raise OverflowError
+        code, out, err = run(capsys, "siegel-act", "--n", "1", "1e160+0i;0", "1e160+0i;0+1i")
+        assert (code, out) == (3, "")
+        assert "action overflows" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("mul", "--n", "1", "1e200;1e200;0", "1e200;1e200;0"), "product overflows"),
+        (("dilate", "--n", "1", "--r", "1e200", "1;1;1"), "dilation overflows"),
+        (("siegel-mul", "--n", "1", "1e300+1e300i;0", "1e300-1e300i;0"), "product overflows"),
+    ])
+    def test_overflow_is_named(self, capsys, argv, message):
+        # every input is finite; the output is not
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert message in err and "must be finite" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mul", "--n", "1", "1;2;3"),                 # missing positional
+        ("dilate", "--n", "1", "1;1;1"),              # missing required option
+        ("inv", "1;2;3"),                             # missing --n
+        ("inv", "--n", "1", "--frob", "1", "1;2;3"),  # unknown option
+        ("mul", "--n", "abc", "0;0;0", "0;0;0"),      # ill-typed option
+        ("inv", "--n", "1", "-1;-2;-1"),              # literal starting with '-', no `--`
+    ])
+    def test_usage_errors_are_64(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert f"usage: heis {argv[0]}" in err
+
+    def test_literal_after_double_dash(self, capsys):
+        assert run(capsys, "inv", "--n", "1", "--", "-1;-2;-1")[:2] == (0, "1;2;3\n")
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_verb_help_returns_zero(self, capsys, verb):
+        code, out, _ = run(capsys, verb, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: heis {verb}")
+
+    def test_top_level_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out == cli.USAGE
+        assert run(capsys)[:2] == (64, cli.USAGE)
+
+    @pytest.mark.parametrize("literal,code", [("inf+0i", 3), ("1+2j", 2), ("2i", 0)])
+    def test_complex_literal_grammar(self, capsys, literal, code):
+        # the unit is a trailing `i` only; a non-finite value is a domain error
+        assert run(capsys, "siegel-mul", "--n", "1", f"{literal};0", "0;0")[0] == code
+
     def test_success_paths_are_zero(self, capsys):
         assert run(capsys, "relcheck", "--n", "1")[0] == 0
         assert run(capsys, "siegel-check", "--n", "1", "--trials", "5", "--seed", "3")[0] == 0
@@ -130,20 +200,20 @@ class TestSeededDeterminism:
 
 
 class TestGridFiles:
-    def test_in_out_roundtrip(self, capsys, tmp_path):
+    @pytest.mark.parametrize("verb,option", [
+        ("rep-check", "--in"), ("rep-check", "--out"), ("commutator", "--out"),
+    ])
+    def test_removed_file_options_are_usage_errors(self, capsys, tmp_path, verb, option):
+        # rep-check never checked the file's samples, and commutator --out only
+        # wrote back the file it had read
         spec = grid.GridSpec(1, 8)
-        rng = np.random.default_rng(0)
-        f = grid.GridFunction(spec, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        f = grid.GridFunction(spec, np.arange(8.0))
         src = tmp_path / "f.txt"
-        dst = tmp_path / "g.txt"
         with open(src, "w") as fh:
             grid.write_grid_function(f, fh)
-        code, out, _ = run(capsys, "rep-check", "--trials", "5", "--seed", "0",
-                           "--in", str(src), "--out", str(dst))
-        assert code == 0
-        with open(dst) as fh:
-            g = grid.read_grid_function(fh)
-        assert g.max_abs_diff(f) == 0.0
+        code, out, err = run(capsys, verb, option, str(src))
+        assert (code, out) == (64, "")
+        assert "unrecognized arguments" in err
 
     def test_commutator_in_file(self, capsys, tmp_path):
         spec = grid.GridSpec(1, 64)
@@ -156,6 +226,31 @@ class TestGridFiles:
         assert code == 0
         assert out.startswith("interior defect:")
 
+    @pytest.mark.parametrize("content", [b"a b c d\n", b"1 4 1 1\nx y\n", b"\xcc\xcc\n"])
+    def test_malformed_file(self, capsys, tmp_path, content):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(content)
+        code, _, err = run(capsys, "commutator", "--in", str(src))
+        assert code == 3
+        assert "malformed grid function file" in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "commutator", "--in", "/nonexistent/f.txt")
         assert code == 3
+
+
+class TestUsage:
+    def test_every_option_is_in_usage(self):
+        # the synopsis of each verb is generated from the same declarations
+        synopses = {line.split()[0]: line.replace("[", " ").split()
+                    for line in cli.USAGE.splitlines()
+                    if line.startswith("  ") and not line.startswith("   ")}
+        for verb in cli.VERBS:
+            for action in cli._verb_parser(verb)._actions:
+                for option in action.option_strings:
+                    if option not in ("-h", "--help"):
+                        assert option in synopses[verb], (verb, option)
+
+    def test_siegel_check_reports_its_bound(self, capsys):
+        _, out, _ = run(capsys, "siegel-check", "--n", "1", "--trials", "1", "--seed", "0")
+        assert out.splitlines()[0] == "siegel-check: n=1 trials=1 seed=0 bound=10"
