@@ -1,0 +1,57 @@
+"""Golden reports: the check verbs' stdout, pinned byte for byte.
+
+Each case names an argv of `heis`; its exact stdout is stored in
+`tests/golden/<case>.txt`.  The reports print seeded samples and deviations
+to three significant digits, so any change to the sampling order, the
+operators or the report format shows up here.  The first rep-check cases are
+the argv that perfbench's cli-session workload runs.
+
+To regenerate the files after a deliberate change of the reports:
+
+    PYTHONPATH=src python tests/test_reports.py
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from heis import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+
+CASES = {
+    **{f"rep-check-n1-N8-seed{s}": ["rep-check", "--n", "1", "--N", "8", "--trials", "20",
+                                    "--seed", str(s)] for s in (0, 1, 271828)},
+    **{f"rep-check-n2-N4-seed{s}": ["rep-check", "--n", "2", "--N", "4", "--trials", "5",
+                                    "--seed", str(s)] for s in (0, 7)},
+    "rep-check-n2-N16-seed3": ["rep-check", "--n", "2", "--N", "16", "--trials", "3", "--seed", "3"],
+    "rep-check-defaults-seed0": ["rep-check", "--seed", "0"],
+    **{f"siegel-check-n{n}-seed{s}": ["siegel-check", "--n", str(n), "--trials", "20",
+                                      "--seed", str(s)] for n in (1, 2, 3) for s in (0, 5)},
+    **{f"relcheck-n{n}": ["relcheck", "--n", str(n)] for n in (1, 2, 3)},
+    "commutator-N32": ["commutator", "--N", "32"],
+    "commutator-L2": ["commutator", "--L", "2"],
+    "commutator-N16-L3": ["commutator", "--N", "16", "--L", "3"],
+}
+
+
+def report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case):
+    code, text = report(CASES[case])
+    assert code == 0
+    assert text == (GOLDEN / f"{case}.txt").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.txt").write_text(report(argv)[1])
