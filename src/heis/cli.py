@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -63,7 +64,10 @@ def _reduce(args) -> str:
 
 def _commutator(args) -> Union[str, Tuple[str, bool]]:
     if args.infile is None:
-        return checks.commutator_check(args.N, L=args.L)
+        return checks.commutator_check(32 if args.N is None else args.N,
+                                       1.0 if args.L is None else args.L)
+    if args.N is not None or args.L is not None:  # the file fixes the grid
+        _verb_parser("commutator").error("argument --in: not allowed with --N or --L")
     with open(args.infile) as fh:
         f = grid.read_grid_function(fh)
     ones = (1.0,) * f.spec.n
@@ -93,16 +97,15 @@ VERBS: Dict[str, Verb] = {
         "grid-operator checks (Weyl relation, homomorphism, kernel)",
         (("--n", dict(type=int, default=1, metavar="N", help="ambient dimension")),
          ("--N", dict(type=int, default=16, metavar="GRID", help="samples per axis")),
-         ("--L", dict(type=float, default=1.0, metavar="L", help="period length")),
-         ("--lam", dict(type=float, default=1.0, metavar="LAM", help="modulation scale")),
          TRIALS, SEED),
-        lambda a: checks.rep_check(a.n, a.N, a.trials, _seed(a), a.L, a.lam)),
+        lambda a: checks.rep_check(a.n, a.N, a.trials, _seed(a))),
     "commutator": Verb(
         "difference/multiplication commutator convergence",
-        (("--N", dict(type=int, default=32, metavar="GRID", help="coarse resolution")),
-         ("--L", dict(type=float, default=1.0, metavar="L", help="period length")),
-         ("--in", dict(dest="infile", default=None, metavar="FILE",
-                       help="grid-function file: print its interior defect instead"))),
+        (("--N", dict(type=int, metavar="GRID", help="coarse resolution, default 32")),
+         ("--L", dict(type=float, metavar="L", help="period length, default 1")),
+         ("--in", dict(dest="infile", metavar="FILE",
+                       help="grid-function file: print its interior defect instead "
+                            "(its header fixes the grid, so not with --N or --L)"))),
         _commutator),
     "siegel-mul": Verb("product in the complex group", (DIM, ("lhs", CELEM), ("rhs", CELEM)),
                        lambda a: textio.format_complex_element(siegel.cmul(
@@ -123,17 +126,23 @@ def _synopsis(verb: str) -> str:
     words = [verb]
     for name, kw in VERBS[verb].args:
         word = f"{name} {kw['metavar']}" if name.startswith("-") else kw["metavar"]
-        words.append(word if kw.get("required", True) else f"[{word}]")
+        words.append(word if kw.get("required", not name.startswith("-")) else f"[{word}]")
     return " ".join(words)
 
 
 LITERALS = """element literals: `x1,..,xn;y1,..,yn;t` (real), `k;l;m` (integer),
 `re+imi,..;t` (complex element), `w1,..,wn;sigma` (half-space point).
-A literal that starts with `-` goes after `--`: heis inv --n 1 -- "-1;-2;-1"
+A literal that starts with `-` but not with a number (`-1`, `-.5`, `-inf`,
+`-nan`) goes after `--`: heis siegel-mul --n 1 -- "-i;0" "1;0"
 """
 USAGE = ("usage: heis <verb> [options]      (heis <verb> --help describes one verb)\n\nverbs:\n"
          + "".join(f"  {_synopsis(v)}\n        {VERBS[v].summary}\n" for v in VERBS)
          + "\n" + LITERALS)
+
+
+# argparse alone takes `-1e-3` or `-inf` for an option; read whatever float()
+# reads as a value, as `--r=-1e-3` always is
+NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,8 +153,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _verb_parser(verb: str) -> _Parser:
+    # no abbreviations: the options are exactly the ones VERBS declares
     p = _Parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,
-                formatter_class=argparse.RawDescriptionHelpFormatter)
+                formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
+    p._negative_number_matcher = NEGATIVE_NUMBER  # private argparse attribute; tests pin it
     for name, kw in VERBS[verb].args:
         p.add_argument(name, **kw)
     return p

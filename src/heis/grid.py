@@ -1,18 +1,19 @@
 """Finite clock-and-shift realization of the translation/modulation operators.
 
 Functions live on the periodic grid ([0, L) intersect hZ)^n with h = L/N.
-Shifts are quantized as x = (L/N) p and modulations as y = q/(lambda L) with
-integer vectors p, q; then the translation T, modulation U and scalar C
-operators satisfy the commutation relation
+Operators are indexed by integers: shifts p and modulations q in Z^n and a
+central s, of which only the residues mod N matter.  The translation T,
+modulation U and scalar C operators satisfy the commutation relation
 
-    U_y o T_x = T_x o U_y o C_alpha,   alpha = exp(2 pi i (q . p) / N)
+    U_q o T_p = T_p o U_q o C_alpha,   alpha = exp(2 pi i (q . p) / N)
 
 *exactly* (up to complex rounding), because T is a coordinate permutation and
-U is a diagonal of N-th roots of unity.  With central times quantized as
-t = s / (lambda N), the map rep: (p, q, s) -> T_p o U_q o C_{exp(2 pi i s / N)}
-is a representation of the integer Heisenberg group H_n(Z): a triple is a
-lattice.LatticeElement with (p, q, s) = (k, l, m), and triples multiply by
-lattice.lmul.  Its kernel is the triples with p, q, s all divisible by N.
+U is a diagonal of N-th roots of unity.  The map
+rep: (p, q, s) -> T_p o U_q o C_{exp(2 pi i s / N)} is a representation of
+the integer Heisenberg group H_n(Z): a triple is a lattice.LatticeElement
+with (p, q, s) = (k, l, m), and triples multiply by lattice.lmul.  Its kernel
+is the triples with p, q, s all divisible by N.  No operator reads a
+continuum scale lambda, so the code has none; L only sets h, for the commutator.
 
 Every phase is read from a table of the N roots exp(2 pi i k / N): U's
 diagonal is roots[(q . j) mod N], and alpha and the central phase are
@@ -40,16 +41,16 @@ from .errors import DimensionError, ParameterError
 from .lattice import LatticeElement, linverse, lmul
 
 MAX_GRID_POINTS = 2**20
+IDENTITY_TOL = 1e-12  # is_identity_operator: max deviation on a basis function
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization data: dimension n, N samples per axis, period L, scale lambda."""
+    """Discretization data: dimension n, N samples per axis, period L."""
 
     n: int
     N: int
     L: float = 1.0
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -58,8 +59,6 @@ class GridSpec:
             raise ParameterError("N must be >= 2")
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ParameterError("L must be positive and finite")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ParameterError("lambda must be positive and finite")
         if self.N**self.n > MAX_GRID_POINTS:
             raise ParameterError(
                 f"grid with N^n = {self.N**self.n} points exceeds the {MAX_GRID_POINTS} guard"
@@ -164,10 +163,8 @@ def apply_T(p: Sequence[int], f: GridFunction) -> GridFunction:
 def apply_U(q: Sequence[int], f: GridFunction) -> GridFunction:
     """Modulation: multiply sample j by exp(2 pi i (q . j) / N).
 
-    With y = q/(lambda L) and w = j L / N this is exactly
-    exp(2 pi i lambda y . w).  The phase is the table lookup
-    roots[(q . j) mod N] into the N-th roots cached per (n, N), so the
-    exponent is reduced mod N before any rounding."""
+    The phase is the table lookup roots[(q . j) mod N] into the N-th roots
+    cached per (n, N), so the exponent is reduced mod N before any rounding."""
     spec = f.spec
     N = spec.N
     roots, _, axes = _tables(spec.n, N)
@@ -230,13 +227,12 @@ def dense_matrix(op: Callable[[GridFunction], GridFunction], spec: GridSpec) -> 
     return np.stack(cols, axis=1)
 
 
-def is_identity_operator(op: Callable[[GridFunction], GridFunction], spec: GridSpec,
-                         tol: float = 1e-12) -> bool:
+def is_identity_operator(op: Callable[[GridFunction], GridFunction], spec: GridSpec) -> bool:
     """Check op = id on the full standard basis of grid functions."""
     size = spec.N**spec.n
     for j in range(size):
         e = GridFunction.basis(spec, j)
-        if op(e).max_abs_diff(e) > tol:
+        if op(e).max_abs_diff(e) > IDENTITY_TOL:
             return False
     return True
 
@@ -295,9 +291,9 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
 # --- text serialization -----------------------------------------------------
 
 def write_grid_function(f: GridFunction, stream: TextIO) -> None:
-    """Header `n N L lambda`, then one `re im` sample per line, row-major."""
+    """Header `n N L`, then one `re im` sample per line, row-major."""
     spec = f.spec
-    stream.write(f"{spec.n} {spec.N} {spec.L:.17g} {spec.lam:.17g}\n")
+    stream.write(f"{spec.n} {spec.N} {spec.L:.17g}\n")
     for v in f.values.ravel():
         stream.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
@@ -306,11 +302,10 @@ def read_grid_function(stream: TextIO) -> GridFunction:
     """Read what `write_grid_function` writes; a malformed file raises ParameterError."""
     try:
         header = stream.readline().split()
-        if len(header) != 4:
-            raise ParameterError("grid function header must be `n N L lambda`")
-        n, N = int(header[0]), int(header[1])
-        L, lam = float(header[2]), float(header[3])
-        spec = GridSpec(n, N, L, lam)
+        if len(header) != 3:
+            raise ParameterError("malformed grid function file: the header must be `n N L`")
+        n, N, L = int(header[0]), int(header[1]), float(header[2])
+        spec = GridSpec(n, N, L)
         values = []
         for line in stream:
             if not line.strip():

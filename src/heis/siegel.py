@@ -27,9 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+# r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
+from .core import Dilation as ComplexDilation
 from .errors import DimensionError, ParameterError, finite_output
 
-BOUNDARY_TOL = 1e-12
+BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
+COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
 
 
 def _as_cvector(v: Sequence[complex]) -> Tuple[complex, ...]:
@@ -109,12 +112,12 @@ def height(p: SiegelPoint) -> float:
     return p.sigma.imag - _norm2(p.w)
 
 
-def classify(p: SiegelPoint, tol: float = BOUNDARY_TOL) -> str:
+def classify(p: SiegelPoint) -> str:
     """'interior', 'boundary' or 'outside' by the sign of the height."""
     ht = height(p)
-    if ht > tol:
+    if ht > BOUNDARY_TOL:
         return "interior"
-    if ht < -tol:
+    if ht < -BOUNDARY_TOL:
         return "outside"
     return "boundary"
 
@@ -128,8 +131,7 @@ def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     return finite_output(SiegelPoint, "action", tuple(a + b for a, b in zip(p.w, g.z)), sigma)
 
 
-def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint,
-                      tol: float = 1e-12) -> bool:
+def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> bool:
     """Does acting by g after g2 agree with acting by the product g g2?
 
     Componentwise comparison, relative to max(1, magnitudes involved).
@@ -146,19 +148,7 @@ def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint,
         max(abs(a - b) for a, b in zip(lhs.w, rhs.w)),
         abs(lhs.sigma - rhs.sigma),
     )
-    return dev <= tol * scale
-
-
-@dataclass(frozen=True)
-class ComplexDilation:
-    """Scaling by r > 0: (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma)."""
-
-    r: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ParameterError(f"dilation parameter must be positive and finite, got {self.r}")
+    return dev <= COMPOSE_TOL * scale
 
 
 def cdilate(d: ComplexDilation, g: ComplexElement) -> ComplexElement:

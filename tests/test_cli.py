@@ -141,7 +141,15 @@ class TestExitCodes:
         ("inv", "1;2;3"),                             # missing --n
         ("inv", "--n", "1", "--frob", "1", "1;2;3"),  # unknown option
         ("mul", "--n", "abc", "0;0;0", "0;0;0"),      # ill-typed option
-        ("inv", "--n", "1", "-1;-2;-1"),              # literal starting with '-', no `--`
+        ("inv", "--n", "1", "-x;-2;-1"),              # '-' and no number, no `--`
+        ("rep-check", "--L", "1"),                    # no grid operator reads L
+        ("rep-check", "--lam", "1"),                  # nor a scale lambda
+        ("rep-check", "--l", "2"),                    # prefixes are not options
+        ("rep-check", "--tri", "1"),
+        ("siegel-check", "--n", "1", "--se", "1"),
+        ("dilate", "--n", "1", "--r", "2", "--he", "1;1;1"),
+        ("commutator", "--in", "f.txt", "--N", "8"),  # the file fixes the grid
+        ("commutator", "--in", "f.txt", "--L", "2"),
     ])
     def test_usage_errors_are_64(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -150,6 +158,20 @@ class TestExitCodes:
 
     def test_literal_after_double_dash(self, capsys):
         assert run(capsys, "inv", "--n", "1", "--", "-1;-2;-1")[:2] == (0, "1;2;3\n")
+
+    def test_negative_literal_needs_no_double_dash(self, capsys):
+        assert run(capsys, "inv", "--n", "1", "-1;-2;-1")[:2] == (0, "1;2;3\n")
+        assert run(capsys, "siegel-mul", "--n", "1", "-1-2i;0", "1;0")[:2] == (0, "0-2i;-4\n")
+
+    @pytest.mark.parametrize("value", ["-2", "-.5", "-1e-3", "-1E-3", "-2e+1", "-inf",
+                                       "-Infinity", "-nan", "-1_000"])
+    def test_negative_value_exit_code_is_spelling_free(self, capsys, value):
+        # argparse alone reads `-1e-3` and `-inf` as options (exit 64) unless
+        # they are joined with `=`; this pins cli._Parser's private matcher
+        spaced = run(capsys, "dilate", "--n", "1", "--r", value, "1;1;1")
+        joined = run(capsys, "dilate", "--n", "1", f"--r={value}", "1;1;1")
+        assert spaced == joined
+        assert spaced[0] == 3 and "dilation parameter must be positive" in spaced[2]
 
     @pytest.mark.parametrize("verb", list(cli.VERBS))
     def test_verb_help_returns_zero(self, capsys, verb):
@@ -226,7 +248,9 @@ class TestGridFiles:
         assert code == 0
         assert out.startswith("interior defect:")
 
-    @pytest.mark.parametrize("content", [b"a b c d\n", b"1 4 1 1\nx y\n", b"\xcc\xcc\n"])
+    # a 4-field header (`n N L lambda` of older files) is malformed too
+    @pytest.mark.parametrize("content", [b"a b c d\n", b"1 4 1 1\nx y\n", b"\xcc\xcc\n",
+                                         b"a b c\n", b"1 4 1\nx y\n"])
     def test_malformed_file(self, capsys, tmp_path, content):
         src = tmp_path / "bad.txt"
         src.write_bytes(content)
@@ -250,6 +274,12 @@ class TestUsage:
                 for option in action.option_strings:
                     if option not in ("-h", "--help"):
                         assert option in synopses[verb], (verb, option)
+
+    def test_optional_options_are_bracketed(self):
+        lines = cli.USAGE.splitlines()
+        assert "  dilate --n N --r R ELEM" in lines
+        assert "  rep-check [--n N] [--N GRID] [--trials TRIALS] [--seed SEED]" in lines
+        assert "  commutator [--N GRID] [--L L] [--in FILE]" in lines
 
     def test_siegel_check_reports_its_bound(self, capsys):
         _, out, _ = run(capsys, "siegel-check", "--n", "1", "--trials", "1", "--seed", "0")

@@ -1,9 +1,12 @@
 """Fuzz the CLI with argv drawn from the verb table `cli.VERBS`.
 
 Each example picks a verb, a random subset of its declared options and values
-for them and its positionals, drawn from small integers, floats, element
-literals, generator words and junk.  Whatever the argv, `main` must return a
-documented exit code, let no exception escape and print no traceback.
+for them and its positionals, drawn from small integers, floats (negative ones
+also in exponent, `inf` and `nan` form), element literals, generator words and
+junk.  Whatever the argv, `main` must return a documented exit code, let no
+exception escape and print no traceback.  Two more properties make `VERBS` the
+whole grammar: a prefix of a declared option is not that option, and
+`--opt V` means what `--opt=V` means for every V that float() reads.
 """
 
 import contextlib
@@ -19,6 +22,8 @@ EXIT_CODES = {0, 2, 3, 4, 64}
 
 # Options that set a size are always passed, bounded so that N^n <= 216 and a
 # check verb runs at most 3 trials; every other option is passed or not.
+# commutator's default grid is small, and its --in excludes --N, so there
+# --N is passed or not too.
 SIZE_BOUND = {"--n": 3, "--N": 6, "--trials": 3}
 
 
@@ -27,21 +32,27 @@ def _mostly(good, bad):
     return st.integers(0, 4).flatmap(lambda k: good if k else bad)
 
 
-def _not_an_int(text: str) -> bool:
+def _reads_as(kind: type, text: str) -> bool:
     try:
-        int(text)
+        kind(text)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
 
 
 # argv entries are C strings: no NUL, and no surrogates beyond what the OS decodes
 JUNK = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
                max_size=10)
+NEGATIVE = st.one_of(
+    st.builds(lambda m, e: f"-{m}e{e}", st.sampled_from(["1", "2.5", ".5", "7"]),
+              st.integers(-5, 5)),
+    st.sampled_from(["-inf", "-Infinity", "-INF", "-nan", "-1E-3", "-.5", "-1_0"]),
+)
 REAL = st.one_of(
     st.integers(-9, 9).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["1e200", "-1e300", "1e160", "5e-324", "-0.0", "inf", "nan", "1..5", ""]),
+    NEGATIVE,
 )
 COMPLEX = st.one_of(
     REAL,
@@ -71,8 +82,8 @@ def _literal(metavar: str, dim: int):
 def _option_value(name: str, dim: int):
     if name in SIZE_BOUND:
         good = st.just(str(dim)) if name == "--n" else st.integers(-2, SIZE_BOUND[name]).map(str)
-        return _mostly(good, st.one_of(st.integers(-2, SIZE_BOUND[name]).map(str),
-                                       st.one_of(REAL, JUNK).filter(_not_an_int)))
+        not_int = st.one_of(REAL, JUNK).filter(lambda t: not _reads_as(int, t))
+        return _mostly(good, st.one_of(st.integers(-2, SIZE_BOUND[name]).map(str), not_int))
     return st.one_of(REAL, st.integers(-3, 10**6).map(str), JUNK)
 
 
@@ -85,7 +96,7 @@ def argvs(draw):
     positionals = [kw["metavar"] for name, kw in args if not name.startswith("-")]
     argv = [verb]
     for name in draw(st.permutations(options)):
-        if name in SIZE_BOUND or draw(st.booleans()):
+        if (name in SIZE_BOUND and verb != "commutator") or draw(st.booleans()):
             argv += [name, draw(_option_value(name, dim))]
     if positionals and draw(_mostly(st.just(True), st.just(False))):
         argv.append("--")  # so that a literal may start with '-'
@@ -99,9 +110,18 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=400, deadline=None)
-@given(argv=argvs(), env_seed=st.sampled_from([None, "0", "7", "-3", "abc", "1.5"]))
-def test_every_argv_ends_in_a_documented_exit_code(argv, env_seed):
+@st.composite
+def prefixed_argvs(draw):
+    """An argv with a proper prefix of one of the verb's options (or of
+    --help), and a value for it, right after the verb."""
+    argv = draw(argvs())
+    names = [name for name, _ in cli.VERBS[argv[0]].args if name.startswith("-")]
+    name = draw(st.sampled_from([n for n in names + ["--help"] if len(n) > 3]))
+    prefix = name[:draw(st.integers(3, len(name) - 1))]
+    return [argv[0], prefix, draw(_option_value(name, 1))] + argv[1:]
+
+
+def _run(argv, env_seed=None):
     saved = os.environ.pop("HEIS_SEED", None)
     if env_seed is not None:
         os.environ["HEIS_SEED"] = env_seed
@@ -113,5 +133,42 @@ def test_every_argv_ends_in_a_documented_exit_code(argv, env_seed):
         os.environ.pop("HEIS_SEED", None)
         if saved is not None:
             os.environ["HEIS_SEED"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+ENV_SEEDS = st.sampled_from([None, "0", "7", "-3", "abc", "1.5"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs(), env_seed=ENV_SEEDS)
+def test_every_argv_ends_in_a_documented_exit_code(argv, env_seed):
+    code, _, err = _run(argv, env_seed)
     assert code in EXIT_CODES, (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=prefixed_argvs())
+def test_option_prefixes_are_not_options(argv):
+    code, out, err = _run(argv)
+    # a usage error, unless a literal -h/--help further on printed the help first
+    assert code == 64 or (code == 0 and out.startswith(f"usage: heis {argv[0]}")), (argv, code)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs(), env_seed=ENV_SEEDS)
+def test_joined_and_spaced_values_exit_alike(argv, env_seed):
+    options = {name for name, _ in cli.VERBS[argv[0]].args if name.startswith("-")}
+    end = argv.index("--") if "--" in argv else len(argv)
+    joined, i = [], 0
+    while i < len(argv):
+        if i + 1 < end and argv[i] in options and _reads_as(float, argv[i + 1]):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    spaced_code, spaced_out, _ = _run(argv, env_seed)
+    joined_code, joined_out, _ = _run(joined, env_seed)
+    assert (spaced_code, spaced_out) == (joined_code, joined_out), (argv, joined)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import io
 
 import numpy as np
@@ -8,8 +9,8 @@ from heis import grid
 from heis.errors import DimensionError, ParameterError
 
 
-def spec1(N=4, L=1.0, lam=1.0):
-    return grid.GridSpec(1, N, L, lam)
+def spec1(N=4, L=1.0):
+    return grid.GridSpec(1, N, L)
 
 
 def gf(spec, values):
@@ -34,6 +35,10 @@ class TestSpec:
             grid.GridSpec(1, 4, -1.0)
         with pytest.raises(ParameterError):
             grid.GridSpec(3, 2048)  # 2048^3 blows the point guard
+
+    def test_no_scale_parameter(self):
+        # no operator reads a continuum scale, so the grid has none
+        assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N", "L"]
 
     def test_values_are_frozen(self):
         f = random_f(spec1())
@@ -309,7 +314,7 @@ class TestCommutator:
 
 class TestSerialization:
     def test_roundtrip(self):
-        f = random_f(grid.GridSpec(2, 4, 2.0, 0.5), seed=13)
+        f = random_f(grid.GridSpec(2, 4, 2.0), seed=13)
         buf = io.StringIO()
         grid.write_grid_function(f, buf)
         buf.seek(0)
@@ -321,6 +326,15 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             grid.read_grid_function(io.StringIO("1 4\n"))
 
+    def test_header_is_n_N_L(self):
+        buf = io.StringIO()
+        grid.write_grid_function(random_f(grid.GridSpec(1, 2, 0.5)), buf)
+        assert buf.getvalue().splitlines()[0] == "1 2 0.5"
+
+    def test_old_header_with_lambda_is_rejected(self):
+        with pytest.raises(ParameterError, match="the header must be `n N L`"):
+            grid.read_grid_function(io.StringIO("1 2 1 1\n0 0\n0 0\n"))
+
     def test_wrong_count(self):
-        with pytest.raises(ParameterError):
-            grid.read_grid_function(io.StringIO("1 4 1 1\n0 0\n"))
+        with pytest.raises(ParameterError, match="expected 4 samples, got 1"):
+            grid.read_grid_function(io.StringIO("1 4 1\n0 0\n"))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heis import siegel
+from heis import core, siegel
 from heis.errors import DimensionError, ParameterError
 
 reals = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -145,6 +145,10 @@ class TestDilations:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             siegel.ComplexDilation(0.0)
+
+    def test_one_dilation_type(self):
+        # the complex group scales by the real group's dilation parameter
+        assert siegel.ComplexDilation is core.Dilation
 
     @given(celements(1), celements(1), st.floats(min_value=0.1, max_value=10))
     @settings(max_examples=100)
