@@ -13,6 +13,10 @@ plain components, so H_n(Z) (lattice) and the grid triples share them.
 Also provided: the anisotropic dilations (x, y, t) -> (r x, r y, r^2 t),
 which are group automorphisms, and reduction modulo the integer subgroup
 H_n(Z) to a canonical representative in the half-open cube [0, 1)^(2n+1).
+
+`RealElement(...)` and the `textio` parsers validate what comes from outside.
+Operation outputs are built unchecked, except for the overflow test of
+`errors.finite_output`: validation happens once, at the public boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import DimensionError, ParameterError, finite_output
+from .errors import DimensionError, ParameterError, finite_output, trusted_output
 
 
 def _as_vector(v: Sequence[float]) -> Tuple[float, ...]:
@@ -65,7 +69,7 @@ class RealElement:
     def identity(n: int) -> "RealElement":
         if n < 1:
             raise DimensionError("n must be >= 1")
-        return RealElement((0.0,) * n, (0.0,) * n, 0.0)
+        return trusted_output(RealElement, (0.0,) * n, (0.0,) * n, 0.0)
 
 
 def law(x: Sequence, y: Sequence, t, x2: Sequence, y2: Sequence, t2) -> Tuple:
@@ -100,9 +104,9 @@ def naive_inverse(g: RealElement) -> RealElement:
     """The plain sign flip (-x, -y, -t).
 
     Not an inverse when x . y != 0: mul(g, naive_inverse(g)) = (0, 0, -x . y).
-    Kept as a regression witness.
+    Kept as a regression witness.  Negation cannot overflow.
     """
-    return RealElement(tuple(-c for c in g.x), tuple(-c for c in g.y), -g.t)
+    return trusted_output(RealElement, tuple(-c for c in g.x), tuple(-c for c in g.y), -g.t)
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,18 @@ def coset_reduce(g: RealElement) -> CosetReduction:
     if not math.isfinite(central):
         raise ParameterError(f"t + x . l overflows to {central} in coset reduction")
     m, rt = _frac_split(central)
-    return CosetReduction(tuple(k), tuple(l), m, RealElement(rx, ry, rt))
+    return CosetReduction(k, l, m, trusted_output(RealElement, rx, ry, rt))
 
 
 def embed_integer(k: Sequence[int], l: Sequence[int], m: int) -> RealElement:
-    """The inclusion H_n(Z) -> H_n(R) on an integer triple."""
-    return RealElement(tuple(float(c) for c in k), tuple(float(c) for c in l), float(m))
+    """The inclusion H_n(Z) -> H_n(R) on an integer triple (k, l, m), as held
+    by a `LatticeElement` or a `CosetReduction`.
+
+    Raises ParameterError when a component is too large for a float.
+    """
+    if not 0 < len(k) == len(l):
+        raise DimensionError(f"k and l must have equal length n >= 1, got {len(k)} and {len(l)}")
+    try:
+        return trusted_output(RealElement, tuple(map(float, k)), tuple(map(float, l)), float(m))
+    except OverflowError:
+        raise ParameterError("embedding overflows the float range") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import RealElement, embed_integer, law, law_inverse
-from .errors import DimensionError, WordSyntaxError
+from .errors import DimensionError, WordSyntaxError, trusted_output
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,23 @@ class LatticeElement:
 
     @staticmethod
     def identity(n: int) -> "LatticeElement":
-        if n < 1:
-            raise DimensionError("n must be >= 1")
-        return LatticeElement((0,) * n, (0,) * n, 0)
+        zeros = _zeros(n)
+        return trusted_output(LatticeElement, zeros, zeros, 0)
+
+
+def _zeros(n: int) -> Tuple[int, ...]:
+    if n < 1:
+        raise DimensionError("n must be >= 1")
+    return (0,) * n
 
 
 def lmul(g: LatticeElement, h: LatticeElement) -> LatticeElement:
     """The H_n(R) group law restricted to integer triples."""
-    return LatticeElement(*law(g.k, g.l, g.m, h.k, h.l, h.m))
+    return trusted_output(LatticeElement, *law(g.k, g.l, g.m, h.k, h.l, h.m))
 
 
 def linverse(g: LatticeElement) -> LatticeElement:
-    return LatticeElement(*law_inverse(g.k, g.l, g.m))
+    return trusted_output(LatticeElement, *law_inverse(g.k, g.l, g.m))
 
 
 def embed(g: LatticeElement) -> RealElement:
@@ -69,7 +74,8 @@ def embed(g: LatticeElement) -> RealElement:
 # --- generators -------------------------------------------------------------
 
 def gen_c(n: int) -> LatticeElement:
-    return LatticeElement((0,) * n, (0,) * n, 1)
+    zeros = _zeros(n)
+    return trusted_output(LatticeElement, zeros, zeros, 1)
 
 
 def _check_index(j: int, n: int) -> None:
@@ -85,17 +91,14 @@ def token_element(tok: "GeneratorToken", n: int) -> LatticeElement:
     closed form avoids |e| group multiplications.
     """
     e = tok.exponent
-    if tok.kind == "a":
+    zeros = _zeros(n)
+    if tok.kind in ("a", "b"):
         _check_index(tok.index, n)
-        return LatticeElement(
-            tuple(e if i == tok.index - 1 else 0 for i in range(n)), (0,) * n, 0
-        )
-    if tok.kind == "b":
-        _check_index(tok.index, n)
-        return LatticeElement(
-            (0,) * n, tuple(e if i == tok.index - 1 else 0 for i in range(n)), 0
-        )
-    return LatticeElement((0,) * n, (0,) * n, e)
+        step = tuple(e if i == tok.index - 1 else 0 for i in range(n))
+        if tok.kind == "a":
+            return trusted_output(LatticeElement, step, zeros, 0)
+        return trusted_output(LatticeElement, zeros, step, 0)
+    return trusted_output(LatticeElement, zeros, zeros, e)
 
 
 # --- words ------------------------------------------------------------------

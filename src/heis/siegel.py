@@ -29,7 +29,7 @@ from typing import Sequence, Tuple
 
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
-from .errors import DimensionError, ParameterError, finite_output
+from .errors import DimensionError, ParameterError, finite_output, trusted_output
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
@@ -65,7 +65,7 @@ class ComplexElement:
     def identity(n: int) -> "ComplexElement":
         if n < 1:
             raise DimensionError("n must be >= 1")
-        return ComplexElement((0j,) * n, 0.0)
+        return trusted_output(ComplexElement, (0j,) * n, 0.0)
 
 
 def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
@@ -80,8 +80,9 @@ def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
 
 
 def cinverse(g: ComplexElement) -> ComplexElement:
-    """(-z, -t); exact here since sum z_j conj(z_j) is real."""
-    return ComplexElement(tuple(-c for c in g.z), -g.t)
+    """(-z, -t); exact here since sum z_j conj(z_j) is real.  Negation cannot
+    overflow."""
+    return trusted_output(ComplexElement, tuple(-c for c in g.z), -g.t)
 
 
 @dataclass(frozen=True)
