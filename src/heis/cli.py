@@ -9,13 +9,16 @@ One verb per library operation, stable text grammars, and fixed exit codes:
     64  unknown verb / usage error (missing, unknown or ill-typed argument)
 
 Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
-and its dispatch are all built from that entry.  Seeded verbs default their
-seed from the HEIS_SEED environment variable.
+and its dispatch are all built from that entry.  A verb's parser is built on
+its first use and reused by every later call in the process; parsing leaves
+it unchanged, and the environment (HEIS_SEED, COLUMNS) is read at call time.
+Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -152,6 +155,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"error: {message}\n")
 
 
+@functools.cache  # at most one parser per verb in VERBS
 def _verb_parser(verb: str) -> _Parser:
     # no abbreviations: the options are exactly the ones VERBS declares
     p = _Parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Tuple
 
@@ -118,14 +119,20 @@ class GridFunction:
         return float(np.maximum.reduce(np.abs(self.values - other.values), axis=None))
 
 
-def _check_vec(v: Sequence, n: int, name: str, kind: type = int) -> Tuple:
-    """v as a tuple of n Python numbers of the given kind."""
+def _check_vec(v: Sequence, n: int, name: str, kind: Callable = operator.index) -> Tuple:
+    """v as a tuple of n Python numbers: integers (numpy ones too) unless
+    `kind` is float.  A non-integer is refused, never truncated."""
     try:
-        if len(v) == n:
-            return tuple(map(kind, v))
+        length = len(v)
     except TypeError:
-        pass
-    raise DimensionError(f"{name} must be an n-vector of length {n}, got shape {np.shape(v)}")
+        length = None
+    if length != n:
+        raise DimensionError(f"{name} must be an n-vector of length {n}, got shape {np.shape(v)}")
+    try:
+        return tuple(map(kind, v))
+    except (TypeError, ValueError):
+        noun = "numbers" if kind is float else "integers"
+        raise ParameterError(f"{name} must have {noun} as components, got {v!r}") from None
 
 
 @functools.lru_cache(maxsize=16)

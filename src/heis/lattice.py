@@ -18,12 +18,13 @@ Arithmetic uses Python integers throughout, so no overflow is possible.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import RealElement, embed_integer, law, law_inverse
-from .errors import DimensionError, WordSyntaxError, trusted_output
+from .errors import DimensionError, ParameterError, WordSyntaxError, trusted_output
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,15 @@ class LatticeElement:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(c) for c in self.k))
-        object.__setattr__(self, "l", tuple(int(c) for c in self.l))
-        object.__setattr__(self, "m", int(self.m))
+        # integers only (numpy ones too): int() would truncate 2.7 or read "3"
+        index = operator.index
+        try:
+            object.__setattr__(self, "k", tuple(map(index, self.k)))
+            object.__setattr__(self, "l", tuple(map(index, self.l)))
+            object.__setattr__(self, "m", index(self.m))
+        except TypeError:
+            raise ParameterError(f"k, l and m must be integers, got {self.k!r}, {self.l!r}, "
+                                 f"{self.m!r}") from None
         if len(self.k) == 0 or len(self.k) != len(self.l):
             raise DimensionError("k and l must have equal length n >= 1")
 
@@ -111,6 +118,24 @@ class GeneratorToken:
     index: int  # 1-based; 0 for 'c'
     exponent: int
 
+    def __init__(self, kind: str, index: int, exponent: int):
+        if type(index) is not int or type(exponent) is not int:
+            try:
+                index, exponent = operator.index(index), operator.index(exponent)
+            except TypeError:
+                raise ParameterError(f"generator index and exponent must be integers, "
+                                     f"got {index!r} and {exponent!r}") from None
+        if kind == "c":
+            if index != 0:
+                raise ParameterError(f"the central generator c takes index 0, got {index}")
+        elif kind != "a" and kind != "b":
+            raise ParameterError(f"generator kind must be 'a', 'b' or 'c', got {kind!r}")
+        elif index < 1:
+            raise DimensionError(f"generator index {index} out of range [1, n]")
+        # one dict update: with the checks above, still cheaper than the
+        # generated __init__, which sets each frozen field on its own
+        self.__dict__.update(kind=kind, index=index, exponent=exponent)
+
     def __str__(self) -> str:
         name = self.kind if self.kind == "c" else f"{self.kind}{self.index}"
         return name if self.exponent == 1 else f"{name}^{self.exponent}"
@@ -122,6 +147,22 @@ class Word:
 
     n: int
     tokens: Tuple[GeneratorToken, ...]
+
+    def __post_init__(self):
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ParameterError(f"n must be an integer, got {self.n!r}") from None
+        if n < 1:
+            raise DimensionError("n must be >= 1")
+        tokens = tuple(self.tokens)
+        for tok in tokens:
+            if not isinstance(tok, GeneratorToken):
+                raise ParameterError(f"a word holds GeneratorTokens, got {tok!r}")
+            if tok.index > n:
+                raise DimensionError(f"generator index {tok.index} out of range [1, {n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tokens", tokens)
 
     def __str__(self) -> str:
         return " ".join(str(tok) for tok in self.tokens)

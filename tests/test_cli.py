@@ -284,3 +284,50 @@ class TestUsage:
     def test_siegel_check_reports_its_bound(self, capsys):
         _, out, _ = run(capsys, "siegel-check", "--n", "1", "--trials", "1", "--seed", "0")
         assert out.splitlines()[0] == "siegel-check: n=1 trials=1 seed=0 bound=10"
+
+
+class TestParserCache:
+    """Each verb's parser is built once per process and reused unchanged."""
+
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_one_parser_per_verb(self, verb):
+        assert cli._verb_parser(verb) is cli._verb_parser(verb)
+
+    def test_main_builds_each_parser_at_most_once(self, capsys, monkeypatch):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        cli._verb_parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "mul", "--n", "1", "1;2;0", "3;4;0")[:2] == (0, "4;6;6\n")
+                assert run(capsys, "mul", "--n", "1", "1;2;0")[0] == 64
+                assert run(capsys, "eval", "--help")[0] == 0
+                assert run(capsys, "commutator", "--in", "f.txt", "--N", "8")[0] == 64
+            assert sorted(built) == ["heis commutator", "heis eval", "heis mul"]
+        finally:
+            cli._verb_parser.cache_clear()  # no Counted parser outlives the patch
+
+    def test_seed_default_is_read_per_call(self, capsys, monkeypatch):
+        cli._verb_parser.cache_clear()
+        for seed in ("7", "5"):
+            monkeypatch.setenv("HEIS_SEED", seed)
+            _, out, _ = run(capsys, "siegel-check", "--n", "1", "--trials", "1")
+            assert out.splitlines()[0] == f"siegel-check: n=1 trials=1 seed={seed} bound=10"
+
+    def test_help_is_sized_when_printed(self, capsys, monkeypatch):
+        # argparse reads COLUMNS when it formats help, not when it builds the parser
+        cli._verb_parser("rep-check")
+        texts = []
+        for columns in ("40", "160"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = run(capsys, "rep-check", "--help")
+            assert code == 0
+            assert out == cli._verb_parser.__wrapped__("rep-check").format_help()
+            texts.append(out)
+        assert texts[0] != texts[1]

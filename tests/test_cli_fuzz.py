@@ -6,7 +6,8 @@ also in exponent, `inf` and `nan` form), element literals, generator words and
 junk.  Whatever the argv, `main` must return a documented exit code, let no
 exception escape and print no traceback.  Two more properties make `VERBS` the
 whole grammar: a prefix of a declared option is not that option, and
-`--opt V` means what `--opt=V` means for every V that float() reads.
+`--opt V` means what `--opt=V` means for every V that float() reads.  And a
+verb's parser, built once and reused, answers an argv as a fresh one would.
 """
 
 import contextlib
@@ -88,8 +89,9 @@ def _option_value(name: str, dim: int):
 
 
 @st.composite
-def argvs(draw):
-    verb = draw(st.sampled_from(sorted(cli.VERBS)))
+def argvs(draw, verb=None):
+    if verb is None:
+        verb = draw(st.sampled_from(sorted(cli.VERBS)))
     dim = draw(st.integers(1, SIZE_BOUND["--n"]))
     args = cli.VERBS[verb].args
     options = [name for name, _ in args if name.startswith("-")]
@@ -172,3 +174,26 @@ def test_joined_and_spaced_values_exit_alike(argv, env_seed):
     spaced_code, spaced_out, _ = _run(argv, env_seed)
     joined_code, joined_out, _ = _run(joined, env_seed)
     assert (spaced_code, spaced_out) == (joined_code, joined_out), (argv, joined)
+
+
+def _parser_state(verb):
+    """What a parse could leave behind in the verb's cached parser."""
+    parser = cli._verb_parser(verb)
+    return dict(parser._defaults), [vars(action).copy() for action in parser._actions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), env_seed=ENV_SEEDS, other_env_seed=ENV_SEEDS,
+       other_extra=st.sampled_from([None, "--help", "--frob"]))
+def test_a_reused_parser_answers_as_a_fresh_one(data, env_seed, other_env_seed, other_extra):
+    argv = data.draw(argvs(), label="argv")
+    other = data.draw(argvs(argv[0]), label="other")
+    if other_extra is not None:  # a help print or a usage error in between
+        other.insert(1, other_extra)
+    cli._verb_parser.cache_clear()
+    fresh = _run(argv, env_seed)
+    cli._verb_parser.cache_clear()
+    _run(other, other_env_seed)  # builds the parser that argv now reuses
+    state = _parser_state(argv[0])
+    assert _run(argv, env_seed) == fresh, (argv, other)
+    assert _parser_state(argv[0]) == state, argv

@@ -215,6 +215,19 @@ class TestArgumentContract:
                 call(v, f)
             assert str(err.value) == f"{name} must be an n-vector of length 2, got shape {shape}"
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda v, f: grid.apply_T(v, f), "p"),
+        (lambda v, f: grid.apply_U(v, f), "q"),
+        (lambda v, f: grid.weyl_alpha(v, (0, 0), f.spec), "p"),
+        (lambda v, f: grid.weyl_alpha((0, 0), v, f.spec), "q"),
+    ])
+    def test_non_integers_are_refused_not_truncated(self, call, name):
+        f = random_f(grid.GridSpec(2, 4))
+        for v in [(1.5, 0), (1.9, 1), ("3", 0), (2.0, 0), (np.float64(1), 0), (None, 0)]:
+            with pytest.raises(ParameterError, match=f"^{name} must have integers"):
+                call(v, f)
+
+
 
 class TestRepresentation:
     def test_identity_triple(self):
@@ -278,6 +291,42 @@ class TestRepresentation:
         alpha = cmath.exp(2j * cmath.pi * prod.m / 8)
         rhs = grid.apply_T(prod.k, grid.apply_U(prod.l, grid.apply_C(alpha, f)))
         assert lhs.max_abs_diff(rhs) <= 1e-12
+
+
+class TestIndependentOracles:
+    """The clock and shift against oracles that share no code with grid:
+    numpy's FFT, and the closed form of each matrix entry."""
+
+    @pytest.mark.parametrize("n,N", [(n, N) for n in (1, 2, 3) for N in (4, 5, 8, 16)])
+    def test_modulation_is_translation_in_frequency(self, n, N):
+        # the DFT of f . exp(2 pi i q.j / N) is the DFT of f shifted by q
+        s = grid.GridSpec(n, N)
+        f = random_f(s, seed=10 * n + N)
+        axes = tuple(range(n))
+        spectrum = np.fft.fftn(f.values)
+        for _, q in vectors(n, N, seed=n + 2 * N):
+            got = np.fft.fftn(grid.apply_U(q, f).values)
+            want = np.roll(spectrum, q, axis=axes)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), q
+
+    @pytest.mark.parametrize("n,N", [(1, 4), (1, 5), (1, 16), (2, 4), (2, 5), (2, 16), (3, 4), (3, 5)])
+    def test_dense_representation_is_a_phased_permutation(self, n, N):
+        # rep(p, q, s) has one entry per row and column, exp(2 pi i (s + q.(j-p)) / N),
+        # at row j and column (j - p) mod N
+        s = grid.GridSpec(n, N)
+        rows = np.indices(s.shape).reshape(n, -1).T
+        rng = np.random.default_rng(n * N)
+        for p, q in vectors(n, N, seed=3 * N + n):
+            central = int(rng.integers(-3 * N, 3 * N))
+            mat = grid.dense_matrix(grid.rep(grid.QuantizedTriple(p, q, central), s), s)
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(N**n))) <= 1e-12
+            assert (np.count_nonzero(mat, axis=0) == 1).all()
+            assert (np.count_nonzero(mat, axis=1) == 1).all()
+            for row, j in enumerate(rows):
+                d = j - np.array(p)
+                col = np.ravel_multi_index(tuple(d % N), s.shape)
+                phase = cmath.exp(2j * cmath.pi * ((central + int(np.dot(q, d))) % N) / N)
+                assert abs(mat[row, col] - phase) <= 1e-12, (p, q, j)
 
 
 class TestCommutator:

@@ -1,11 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heis import core, lattice
-from heis.errors import DimensionError, WordSyntaxError
+from heis.errors import DimensionError, ParameterError, WordSyntaxError
 
 
 def triple(k, l, m):
@@ -154,3 +155,63 @@ class TestEmbed:
     @settings(max_examples=100)
     def test_inverse_consistent(self, g):
         assert lattice.embed(lattice.linverse(g)) == core.inverse(lattice.embed(g))
+
+
+class TestInputContract:
+    """The public constructors take integers only: never truncate, never read text."""
+
+    @pytest.mark.parametrize("k, l, m", [((2.7,), (1,), 0), (("3",), (1,), 0), ((1,), (2.0,), 0),
+                                         ((1,), (1,), 2.5), ((1,), (1,), None)])
+    def test_lattice_element_refuses_non_integers(self, k, l, m):
+        with pytest.raises(ParameterError, match="^k, l and m must be integers"):
+            lattice.LatticeElement(k, l, m)
+
+    def test_lattice_element_takes_numpy_integers_as_ints(self):
+        g = lattice.LatticeElement(tuple(np.array([3, -4], dtype=np.int32)),
+                                   (np.int64(5), 6), np.int64(7))
+        assert g == lattice.LatticeElement((3, -4), (5, 6), 7)
+        assert {type(c) for c in g.k + g.l + (g.m,)} == {int}
+
+    def test_lattice_element_keeps_its_dimension_message(self):
+        with pytest.raises(DimensionError, match="^k and l must have equal length n >= 1$"):
+            lattice.LatticeElement((1, 2), (3,), 0)
+
+    @pytest.mark.parametrize("kind, index, exponent, error", [
+        ("a", 1, 2.5, ParameterError),
+        ("c", 0, 2.5, ParameterError),
+        ("b", 1.0, 1, ParameterError),
+        ("a", "1", 1, ParameterError),
+        ("z", 1, 2, ParameterError),
+        ("C", 0, 1, ParameterError),
+        ("c", 1, 2, ParameterError),
+        ("a", 0, 1, DimensionError),
+        ("b", -2, 1, DimensionError),
+    ])
+    def test_token_refuses(self, kind, index, exponent, error):
+        with pytest.raises(error):
+            lattice.GeneratorToken(kind, index, exponent)
+
+    def test_token_takes_numpy_integers_as_ints(self):
+        tok = lattice.GeneratorToken("a", np.int64(2), np.int32(-3))
+        assert tok == lattice.GeneratorToken("a", 2, -3)
+        assert type(tok.index) is int and type(tok.exponent) is int
+        assert lattice.token_element(tok, 2) == lattice.LatticeElement((0, -3), (0, 0), 0)
+
+    @pytest.mark.parametrize("n, tokens, error", [
+        (0, (), DimensionError),
+        (-1, (), DimensionError),
+        (1.5, (), ParameterError),
+        (1, (lattice.GeneratorToken("a", 2, 1),), DimensionError),
+        (2, (lattice.GeneratorToken("c", 0, 1), lattice.GeneratorToken("b", 3, 1)), DimensionError),
+        (1, ("a1",), ParameterError),
+        (1, (("a", 1, 1),), ParameterError),
+    ])
+    def test_word_refuses(self, n, tokens, error):
+        with pytest.raises(error):
+            lattice.Word(n, tokens)
+
+    def test_word_holds_a_tuple(self):
+        tokens = [lattice.GeneratorToken("b", 1, 2), lattice.GeneratorToken("a", 1, 1)]
+        w = lattice.Word(np.int64(1), tokens)
+        assert w.tokens == tuple(tokens) and type(w.n) is int
+        assert lattice.evaluate_word(w) == lattice.LatticeElement((1,), (2,), 2)
