@@ -1,54 +1,4 @@
 """Real, integer, and complex Heisenberg groups, a finite clock-and-shift
 operator representation, and the affine action on the Siegel upper half-space."""
 
-from .core import (
-    CosetReduction,
-    Dilation,
-    RealElement,
-    coset_reduce,
-    dilate,
-    embed_integer,
-    inverse,
-    mul,
-    naive_inverse,
-)
-from .lattice import (
-    GeneratorToken,
-    LatticeElement,
-    Word,
-    check_relations,
-    embed,
-    evaluate_word,
-    linverse,
-    lmul,
-    normal_form,
-    normalize_word,
-    parse_word,
-)
-from .grid import (
-    GridFunction,
-    GridSpec,
-    QuantizedTriple,
-    apply_C,
-    apply_T,
-    apply_U,
-    commutator_defect,
-    rep,
-    triple_inverse,
-    triple_mul,
-    weyl_alpha,
-)
-from .siegel import (
-    ComplexDilation,
-    ComplexElement,
-    SiegelPoint,
-    act,
-    act_compose_check,
-    cdilate,
-    cinverse,
-    cmul,
-    domain_dilate,
-    height,
-)
-
 __version__ = "0.1.0"

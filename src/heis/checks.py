@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import grid, lattice, siegel
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError, dimension
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
 REP_TOL = 1e-12                  # rep-check: max deviation of every property
@@ -32,8 +32,7 @@ def _verdict(lines: List[str], ok: bool) -> Tuple[str, bool]:
 
 
 def _check_run(n: int, trials: int, seed: int) -> None:
-    if n < 1:
-        raise DimensionError("n must be >= 1")
+    dimension(n)
     # with no trials every maximum stays 0 and the suite would pass vacuously
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")

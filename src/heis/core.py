@@ -26,16 +26,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import DimensionError, ParameterError, finite_output, trusted_output
-
-
-def _as_vector(v: Sequence[float]) -> Tuple[float, ...]:
-    out = tuple(float(c) for c in v)
-    if not out:
-        raise DimensionError("vectors must have length n >= 1")
-    if not all(math.isfinite(c) for c in out):
-        raise ParameterError("vector components must be finite")
-    return out
+from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_vector,
+                     trusted_output)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -51,8 +43,8 @@ class RealElement:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x))
-        object.__setattr__(self, "y", _as_vector(self.y))
+        object.__setattr__(self, "x", finite_vector(self.x, float))
+        object.__setattr__(self, "y", finite_vector(self.y, float))
         object.__setattr__(self, "t", float(self.t))
         if len(self.x) != len(self.y):
             raise DimensionError(
@@ -67,9 +59,8 @@ class RealElement:
 
     @staticmethod
     def identity(n: int) -> "RealElement":
-        if n < 1:
-            raise DimensionError("n must be >= 1")
-        return trusted_output(RealElement, (0.0,) * n, (0.0,) * n, 0.0)
+        zeros = (0.0,) * dimension(n)
+        return trusted_output(RealElement, zeros, zeros, 0.0)
 
 
 def law(x: Sequence, y: Sequence, t, x2: Sequence, y2: Sequence, t2) -> Tuple:

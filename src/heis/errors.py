@@ -1,14 +1,21 @@
-"""Exception hierarchy shared across the library and the CLI, and the one
-constructor of operation outputs.
+"""Exception hierarchy shared across the library and the CLI, the validators
+of the public boundary, and the one constructor of operation outputs.
 
 Validation happens once, at the public boundary: the public constructors
-(`RealElement(...)`, `LatticeElement(...)`, ...) and the `textio` parsers.
+(`RealElement(...)`, `LatticeElement(...)`, `GridSpec(...)`, ...), the public
+functions that take a dimension, and the `textio` parsers.  Each input kind
+has one validator here, and no other code repeats its test:
+
+- `dimension(n)`: an ambient dimension, an integer n >= 1;
+- `finite_vector(v, convert)`: a non-empty vector of finite numbers.
+
 Operation outputs are built by `trusted_output`, which skips those checks.
 The groups are closed under their operations, so a float overflow is the one
 way such an output can be invalid, and `finite_output` keeps that one test.
 """
 
 import cmath
+import operator
 
 
 class HeisError(Exception):
@@ -36,6 +43,41 @@ class WordSyntaxError(HeisError):
 
 class LiteralSyntaxError(HeisError):
     """An element/point text literal failed to parse."""
+
+
+def dimension(n) -> int:
+    """n as an int >= 1: the one check of an ambient dimension.  An integer
+    type is accepted (numpy ones too), anything else is refused, never
+    truncated."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ParameterError(f"n must be an integer, got {n!r}") from None
+    if n < 1:
+        raise DimensionError("n must be >= 1")
+    return n
+
+
+_TEXT = (str, bytes, bytearray)
+_PLAIN = frozenset((int, float, complex))  # a vector of only these holds no text
+
+
+def finite_vector(v, convert) -> tuple:
+    """v as a non-empty tuple of finite numbers, each converted by `convert`
+    (`float` or `complex`).  Text is refused, not read: parsing is the
+    `textio` parsers' job."""
+    try:
+        parts = tuple(v)
+        if not _PLAIN.issuperset(map(type, parts)) and any(isinstance(c, _TEXT) for c in parts):
+            raise TypeError  # text is refused like any other non-number
+        out = tuple(map(convert, parts))
+    except (TypeError, ValueError):
+        raise ParameterError(f"vector components must be numbers, got {v!r}") from None
+    if not out:
+        raise DimensionError("vectors must have length n >= 1")
+    if not all(map(cmath.isfinite, out)):
+        raise ParameterError("vector components must be finite")
+    return out
 
 
 def trusted_output(cls, *parts):

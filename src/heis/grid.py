@@ -18,9 +18,9 @@ continuum scale lambda, so the code has none; L only sets h, for the commutator.
 Every phase is read from a table of the N roots exp(2 pi i k / N): U's
 diagonal is roots[(q . j) mod N], and alpha and the central phase are
 roots[(q . p) mod N] and roots[s mod N].  T gathers each axis at
-(j - p_a) mod N, a slice of a table of indices k mod N for k < 2 N.  The
-tables are built once per (n, N), hold O(N) numbers, and are kept in a
-cache of at most 16 sizes, so they never grow with the number of calls.
+(j - p_a) mod N, a slice of a table of k mod N for k < 2 N.  The tables hold
+O(N) numbers and are cached for at most 16 sizes (n, N).  `rep` fixes its
+operator's scalar, phases and gathers once, when the operator is built.
 
 A central-difference directional derivative and a coordinate multiplication
 operator are also provided, with a measured commutator defect against the
@@ -38,7 +38,7 @@ from typing import Callable, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, dimension, finite_vector
 from .lattice import LatticeElement, linverse, lmul
 
 MAX_GRID_POINTS = 2**20
@@ -54,16 +54,18 @@ class GridSpec:
     L: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("n must be >= 1")
+        object.__setattr__(self, "n", dimension(self.n))
+        try:
+            object.__setattr__(self, "N", operator.index(self.N))
+        except TypeError:
+            raise ParameterError(f"N must be an integer, got {self.N!r}") from None
         if self.N < 2:
             raise ParameterError("N must be >= 2")
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ParameterError("L must be positive and finite")
         if self.N**self.n > MAX_GRID_POINTS:
-            raise ParameterError(
-                f"grid with N^n = {self.N**self.n} points exceeds the {MAX_GRID_POINTS} guard"
-            )
+            raise ParameterError(f"grid with N^n = {self.N**self.n} points exceeds the "
+                                 f"{MAX_GRID_POINTS} guard")
 
     @property
     def h(self) -> float:
@@ -84,15 +86,11 @@ class GridFunction:
         if arr.size == spec.N**spec.n and arr.ndim == 1:
             arr = arr.reshape(spec.shape)
         if arr.shape != spec.shape:
-            raise DimensionError(
-                f"values have shape {arr.shape}, expected {spec.shape}"
-            )
+            raise DimensionError(f"values have shape {arr.shape}, expected {spec.shape}")
         if not np.all(np.isfinite(arr)):
             raise ParameterError("grid samples must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.spec = spec
-        self.values = arr
+        self.spec, self.values = spec, arr.copy()
+        self.values.flags.writeable = False
 
     @classmethod
     def _wrap(cls, spec: GridSpec, arr: np.ndarray) -> "GridFunction":
@@ -103,15 +101,8 @@ class GridFunction:
         """
         obj = object.__new__(cls)
         arr.setflags(write=False)
-        obj.spec = spec
-        obj.values = arr
+        obj.spec, obj.values = spec, arr
         return obj
-
-    @staticmethod
-    def basis(spec: GridSpec, flat_index: int) -> "GridFunction":
-        v = np.zeros(spec.shape, dtype=np.complex128)
-        v.flat[flat_index] = 1.0
-        return GridFunction(spec, v)
 
     def max_abs_diff(self, other: "GridFunction") -> float:
         if self.spec is not other.spec and self.spec != other.spec:
@@ -119,31 +110,30 @@ class GridFunction:
         return float(np.maximum.reduce(np.abs(self.values - other.values), axis=None))
 
 
-def _check_vec(v: Sequence, n: int, name: str, kind: Callable = operator.index) -> Tuple:
-    """v as a tuple of n Python numbers: integers (numpy ones too) unless
-    `kind` is float.  A non-integer is refused, never truncated."""
+def _n_vector(v: Sequence, n: int, name: str) -> Sequence:
+    """v, once it is known to have length n."""
     try:
         length = len(v)
     except TypeError:
         length = None
     if length != n:
         raise DimensionError(f"{name} must be an n-vector of length {n}, got shape {np.shape(v)}")
+    return v
+
+
+def _check_vec(v: Sequence, n: int, name: str) -> Tuple[int, ...]:
+    """v as a tuple of n integers (numpy ones too); a non-integer is refused, not truncated."""
     try:
-        return tuple(map(kind, v))
-    except (TypeError, ValueError):
-        noun = "numbers" if kind is float else "integers"
-        raise ParameterError(f"{name} must have {noun} as components, got {v!r}") from None
+        return tuple(map(operator.index, _n_vector(v, n, name)))
+    except TypeError:
+        raise ParameterError(f"{name} must have integers as components, got {v!r}") from None
 
 
 @functools.lru_cache(maxsize=16)
 def _tables(n: int, N: int) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """Phase and index tables for the grid (n, N): 3 N numbers, built once.
-
-    roots[k] = exp(2 pi i k / N) for k < N.  cyclic[k] = k mod N for k < 2 N,
-    so cyclic[N - s : 2 N - s] is (j - s) mod N over j < N.  axes[a] is a view
-    of 0..N-1 laid along axis a, broadcastable against the grid shape, so
-    sum_a q_a axes[a] is q . j over all multi-indices j.
-    """
+    """The tables of the grid (n, N), 3 N numbers built once: roots[k] =
+    exp(2 pi i k / N) for k < N, cyclic[k] = k mod N for k < 2 N, and axes[a],
+    a view of 0..N-1 along axis a that broadcasts against the grid shape."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     cyclic = np.arange(2 * N) % N
     # shared by every caller: frozen so that no caller can corrupt the cache
@@ -153,34 +143,45 @@ def _tables(n: int, N: int) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, .
     return roots, cyclic, axes
 
 
-def apply_T(p: Sequence[int], f: GridFunction) -> GridFunction:
-    """Cyclic translation: out[j] = f[j - p mod N].  An exact permutation.
-
-    Axis a is gathered at the slice of cyclic indices (j - p_a) mod N."""
-    N = f.spec.N
-    _, cyclic, _ = _tables(f.spec.n, N)
-    out = f.values
-    for axis, shift in enumerate(_check_vec(p, f.spec.n, "p")):
+def _gathers(p: Tuple[int, ...], spec: GridSpec) -> list:
+    """T_p as (axis, (j - p_a) mod N over j < N) per axis it moves: cyclic[N - k : 2 N - k]."""
+    N = spec.N
+    _, cyclic, _ = _tables(spec.n, N)
+    gathers = []
+    for axis, shift in enumerate(p):
         k = shift % N
         if k:
-            out = out.take(cyclic[N - k:2 * N - k], axis=axis)
+            gathers.append((axis, cyclic[N - k:2 * N - k]))
+    return gathers
+
+
+def _shift(values: np.ndarray, gathers: list) -> np.ndarray:
+    """values translated by the `_gathers` of a shift; values itself if none moves."""
+    for axis, index in gathers:
+        values = values.take(index, axis=axis)
+    return values
+
+
+def _phases(q: Tuple[int, ...], spec: GridSpec) -> np.ndarray:
+    """U_q's diagonal roots[(q . j) mod N]: the exponent is reduced before any rounding."""
+    N = spec.N
+    roots, _, axes = _tables(spec.n, N)
+    index = axes[0] * (q[0] % N)
+    for axis, qa in zip(axes[1:], q[1:]):
+        index = index + axis * (qa % N)
+    index %= N
+    return roots[index]
+
+
+def apply_T(p: Sequence[int], f: GridFunction) -> GridFunction:
+    """Cyclic translation: out[j] = f[j - p mod N].  An exact permutation."""
+    out = _shift(f.values, _gathers(_check_vec(p, f.spec.n, "p"), f.spec))
     return GridFunction._wrap(f.spec, out.copy() if out is f.values else out)
 
 
 def apply_U(q: Sequence[int], f: GridFunction) -> GridFunction:
-    """Modulation: multiply sample j by exp(2 pi i (q . j) / N).
-
-    The phase is the table lookup roots[(q . j) mod N] into the N-th roots
-    cached per (n, N), so the exponent is reduced mod N before any rounding."""
-    spec = f.spec
-    N = spec.N
-    roots, _, axes = _tables(spec.n, N)
-    qv = _check_vec(q, spec.n, "q")
-    index = axes[0] * (qv[0] % N)
-    for axis, qa in zip(axes[1:], qv[1:]):
-        index = index + axis * (qa % N)
-    index %= N
-    return GridFunction._wrap(spec, roots[index] * f.values)
+    """Modulation: multiply sample j by exp(2 pi i (q . j) / N)."""
+    return GridFunction._wrap(f.spec, _phases(_check_vec(q, f.spec.n, "q"), f.spec) * f.values)
 
 
 def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
@@ -193,10 +194,8 @@ def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
 
 def weyl_alpha(p: Sequence[int], q: Sequence[int], spec: GridSpec) -> complex:
     """The scalar exp(2 pi i (q . p) / N) with U o T = T o U o C_alpha."""
-    pv = _check_vec(p, spec.n, "p")
-    qv = _check_vec(q, spec.n, "q")
-    roots, _, _ = _tables(spec.n, spec.N)
-    return complex(roots[sum(a * b for a, b in zip(qv, pv)) % spec.N])
+    pv, qv = _check_vec(p, spec.n, "p"), _check_vec(q, spec.n, "q")
+    return complex(_tables(spec.n, spec.N)[0][sum(a * b for a, b in zip(qv, pv)) % spec.N])
 
 
 # --- the representation -----------------------------------------------------
@@ -211,16 +210,18 @@ def rep(g: LatticeElement, spec: GridSpec) -> Callable[[GridFunction], GridFunct
     """The operator T_p o U_q o C_alpha with alpha = exp(2 pi i s / N), where
     (p, q, s) = (g.k, g.l, g.m).
 
-    Matrix-free: returns a function applying the permutation, the diagonal
-    phase and the scalar in turn.
+    Matrix-free: the scalar, the phases and the gathers are fixed here, and the
+    returned function applies them in turn to a function on `spec`.
     """
     if g.n != spec.n:
         raise DimensionError(f"triple has dimension {g.n}, grid has {spec.n}")
-    roots, _, _ = _tables(spec.n, spec.N)
-    alpha = complex(roots[g.m % spec.N])
+    alpha = complex(_tables(spec.n, spec.N)[0][g.m % spec.N])
+    phases, gathers = _phases(g.l, spec), _gathers(g.k, spec)
 
     def operator(f: GridFunction) -> GridFunction:
-        return apply_T(g.k, apply_U(g.l, apply_C(alpha, f)))
+        if f.spec is not spec and f.spec != spec:
+            raise DimensionError("grid functions live on different grids")
+        return GridFunction._wrap(spec, _shift(phases * (alpha * f.values), gathers))
 
     return operator
 
@@ -230,18 +231,20 @@ def dense_matrix(op: Callable[[GridFunction], GridFunction], spec: GridSpec) -> 
     size = spec.N**spec.n
     if size > 256:
         raise ParameterError(f"dense materialization limited to 256 points, got {size}")
-    cols = [op(GridFunction.basis(spec, j)).values.ravel() for j in range(size)]
-    return np.stack(cols, axis=1)
+    return np.stack([op(e).values.ravel() for e in _basis(spec)], axis=1)
 
 
 def is_identity_operator(op: Callable[[GridFunction], GridFunction], spec: GridSpec) -> bool:
     """Check op = id on the full standard basis of grid functions."""
-    size = spec.N**spec.n
-    for j in range(size):
-        e = GridFunction.basis(spec, j)
-        if op(e).max_abs_diff(e) > IDENTITY_TOL:
-            return False
-    return True
+    return all(op(e).max_abs_diff(e) <= IDENTITY_TOL for e in _basis(spec))
+
+
+def _basis(spec: GridSpec):
+    """The standard basis functions of the grid, in row-major order."""
+    for j in range(spec.N**spec.n):
+        e = np.zeros(spec.shape, dtype=np.complex128)
+        e.flat[j] = 1.0
+        yield GridFunction._wrap(spec, e)
 
 
 # --- differentiation / multiplication commutator ----------------------------
@@ -252,27 +255,28 @@ def directional_difference(nu: Sequence[float], f: GridFunction) -> GridFunction
     Per axis: (f(w + h e_a) - f(w - h e_a)) / (2 h), combined with weights
     nu_a; second-order accurate on smooth periodic samples.
     """
-    nv = _check_vec(nu, f.spec.n, "nu", float)
-    h = f.spec.h
+    return _difference(finite_vector(_n_vector(nu, f.spec.n, "nu"), float), f)
+
+
+def _difference(nv: Tuple[float, ...], f: GridFunction) -> GridFunction:
     out = np.zeros(f.spec.shape, dtype=np.complex128)
-    for axis in range(f.spec.n):
-        if nv[axis] == 0.0:
-            continue
-        forward = np.roll(f.values, -1, axis=axis)
-        backward = np.roll(f.values, 1, axis=axis)
-        out = out + nv[axis] * (forward - backward) / (2.0 * h)
-    return GridFunction(f.spec, out)
+    for axis, weight in enumerate(nv):
+        if weight:
+            forward, backward = np.roll(f.values, -1, axis), np.roll(f.values, 1, axis)
+            out = out + weight * (forward - backward) / (2.0 * f.spec.h)
+    return GridFunction._wrap(f.spec, out)
 
 
 def coordinate_multiply(u: Sequence[float], f: GridFunction) -> GridFunction:
     """Multiply by the linear functional w -> w . u evaluated at grid coordinates."""
-    uv = _check_vec(u, f.spec.n, "u", float)
+    return _coordinate(finite_vector(_n_vector(u, f.spec.n, "u"), float), f)
+
+
+def _coordinate(uv: Tuple[float, ...], f: GridFunction) -> GridFunction:
     spec = f.spec
-    _, _, axes = _tables(spec.n, spec.N)
-    mu = np.zeros(spec.shape)
-    for ua, axis in zip(uv, axes):
-        mu = mu + ua * axis * spec.h
-    return GridFunction(spec, mu * f.values)
+    axes = _tables(spec.n, spec.N)[2]
+    mu = sum((ua * axis * spec.h for ua, axis in zip(uv, axes)), np.zeros(spec.shape))
+    return GridFunction._wrap(spec, mu * f.values)
 
 
 def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) -> float:
@@ -282,10 +286,10 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
     stencil crosses the wrap seam are excluded (a margin of
     max(1, ceil(max |nu_a|)) samples on each side of every axis).
     """
-    nv = _check_vec(nu, f.spec.n, "nu", float)
-    uv = _check_vec(u, f.spec.n, "u", float)
-    d_of_m = directional_difference(nv, coordinate_multiply(uv, f))
-    m_of_d = coordinate_multiply(uv, directional_difference(nv, f))
+    nv = finite_vector(_n_vector(nu, f.spec.n, "nu"), float)
+    uv = finite_vector(_n_vector(u, f.spec.n, "u"), float)
+    d_of_m = _difference(nv, _coordinate(uv, f))
+    m_of_d = _coordinate(uv, _difference(nv, f))
     expected = float(np.dot(nv, uv)) * f.values
     defect = np.abs(d_of_m.values - m_of_d.values - expected)
     margin = max(1, math.ceil(float(np.max(np.abs(nv)))))
@@ -299,8 +303,7 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
 
 def write_grid_function(f: GridFunction, stream: TextIO) -> None:
     """Header `n N L`, then one `re im` sample per line, row-major."""
-    spec = f.spec
-    stream.write(f"{spec.n} {spec.N} {spec.L:.17g}\n")
+    stream.write(f"{f.spec.n} {f.spec.N} {f.spec.L:.17g}\n")
     for v in f.values.ravel():
         stream.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
@@ -311,18 +314,15 @@ def read_grid_function(stream: TextIO) -> GridFunction:
         header = stream.readline().split()
         if len(header) != 3:
             raise ParameterError("malformed grid function file: the header must be `n N L`")
-        n, N, L = int(header[0]), int(header[1]), float(header[2])
-        spec = GridSpec(n, N, L)
+        spec = GridSpec(int(header[0]), int(header[1]), float(header[2]))
         values = []
-        for line in stream:
-            if not line.strip():
-                continue
+        for line in filter(str.strip, stream):
             parts = line.split()
             if len(parts) != 2:
                 raise ParameterError(f"expected `re im`, got {line.strip()!r}")
             values.append(complex(float(parts[0]), float(parts[1])))
     except ValueError as exc:
         raise ParameterError(f"malformed grid function file: {exc}") from None
-    if len(values) != N**n:
-        raise ParameterError(f"expected {N**n} samples, got {len(values)}")
+    if len(values) != spec.N**spec.n:
+        raise ParameterError(f"expected {spec.N**spec.n} samples, got {len(values)}")
     return GridFunction(spec, np.array(values))

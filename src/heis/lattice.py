@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import RealElement, embed_integer, law, law_inverse
-from .errors import DimensionError, ParameterError, WordSyntaxError, trusted_output
+from .errors import DimensionError, ParameterError, WordSyntaxError, dimension, trusted_output
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,7 @@ class LatticeElement:
 
 
 def _zeros(n: int) -> Tuple[int, ...]:
-    if n < 1:
-        raise DimensionError("n must be >= 1")
-    return (0,) * n
+    return (0,) * dimension(n)
 
 
 def lmul(g: LatticeElement, h: LatticeElement) -> LatticeElement:
@@ -85,11 +83,6 @@ def gen_c(n: int) -> LatticeElement:
     return trusted_output(LatticeElement, zeros, zeros, 1)
 
 
-def _check_index(j: int, n: int) -> None:
-    if not 1 <= j <= n:
-        raise DimensionError(f"generator index {j} out of range [1, {n}]")
-
-
 def token_element(tok: "GeneratorToken", n: int) -> LatticeElement:
     """The triple for a single generator power.
 
@@ -97,10 +90,17 @@ def token_element(tok: "GeneratorToken", n: int) -> LatticeElement:
     correction k' . l vanishes when only one of k, l is nonzero), so the
     closed form avoids |e| group multiplications.
     """
+    n = dimension(n)
+    if tok.kind != "c" and not 1 <= tok.index <= n:
+        raise DimensionError(f"generator index {tok.index} out of range [1, {n}]")
+    return _power(tok, n)
+
+
+def _power(tok: "GeneratorToken", n: int) -> LatticeElement:
+    """`token_element` for a token whose index is known to fit dimension n."""
     e = tok.exponent
-    zeros = _zeros(n)
+    zeros = (0,) * n
     if tok.kind in ("a", "b"):
-        _check_index(tok.index, n)
         step = tuple(e if i == tok.index - 1 else 0 for i in range(n))
         if tok.kind == "a":
             return trusted_output(LatticeElement, step, zeros, 0)
@@ -149,12 +149,7 @@ class Word:
     tokens: Tuple[GeneratorToken, ...]
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise ParameterError(f"n must be an integer, got {self.n!r}") from None
-        if n < 1:
-            raise DimensionError("n must be >= 1")
+        n = dimension(self.n)
         tokens = tuple(self.tokens)
         for tok in tokens:
             if not isinstance(tok, GeneratorToken):
@@ -174,8 +169,7 @@ _TOKEN_RE = re.compile(r"([abc])([0-9]*)(\^(-?[0-9]+))?")
 def parse_word(text: str, n: int) -> Word:
     """Parse the surface syntax: space-separated terms `a<j>`, `b<j>`, `c`,
     each optionally followed by `^<int>`.  Exponent-0 terms are dropped."""
-    if n < 1:
-        raise DimensionError("n must be >= 1")
+    n = dimension(n)
     tokens: List[GeneratorToken] = []
     pos = 0
     length = len(text)
@@ -209,9 +203,11 @@ def parse_word(text: str, n: int) -> Word:
 
 def evaluate_word(w: Word) -> LatticeElement:
     """Left-to-right product of the token powers under the group law."""
-    acc = LatticeElement.identity(w.n)
+    n = w.n
+    zeros = (0,) * n
+    acc = trusted_output(LatticeElement, zeros, zeros, 0)
     for tok in w.tokens:
-        acc = lmul(acc, token_element(tok, w.n))
+        acc = lmul(acc, _power(tok, n))
     return acc
 
 
@@ -241,7 +237,6 @@ def normalize_word(w: Word) -> Word:
 class RelationReport:
     """Outcome of exhaustively evaluating the defining relations."""
 
-    n: int
     checked: int
     counterexamples: Tuple[str, ...]
 
@@ -252,8 +247,7 @@ class RelationReport:
 
 def check_relations(n: int) -> RelationReport:
     """Evaluate both sides of every defining relation for all index pairs."""
-    if n < 1:
-        raise DimensionError("n must be >= 1")
+    n = dimension(n)
     checked = 0
     bad: List[str] = []
 
@@ -263,8 +257,8 @@ def check_relations(n: int) -> RelationReport:
         if lhs != rhs:
             bad.append(f"{label}: {lhs} != {rhs}")
 
-    a = [token_element(GeneratorToken("a", j, 1), n) for j in range(1, n + 1)]
-    b = [token_element(GeneratorToken("b", j, 1), n) for j in range(1, n + 1)]
+    a = [_power(GeneratorToken("a", j, 1), n) for j in range(1, n + 1)]
+    b = [_power(GeneratorToken("b", j, 1), n) for j in range(1, n + 1)]
     c = gen_c(n)
     for i in range(1, n + 1):
         ai, bi = a[i - 1], b[i - 1]
@@ -277,4 +271,4 @@ def check_relations(n: int) -> RelationReport:
             expect(f"b{i} b{j} = b{j} b{i}", lmul(bi, bj), lmul(bj, bi))
             if i != j:
                 expect(f"a{i} b{j} = b{j} a{i}", lmul(ai, bj), lmul(bj, ai))
-    return RelationReport(n, checked, tuple(bad))
+    return RelationReport(checked, tuple(bad))

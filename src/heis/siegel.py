@@ -29,19 +29,11 @@ from typing import Sequence, Tuple
 
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
-from .errors import DimensionError, ParameterError, finite_output, trusted_output
+from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_vector,
+                     trusted_output)
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
-
-
-def _as_cvector(v: Sequence[complex]) -> Tuple[complex, ...]:
-    out = tuple(complex(c) for c in v)
-    if not out:
-        raise DimensionError("vectors must have length n >= 1")
-    if not all(cmath.isfinite(c) for c in out):
-        raise ParameterError("vector components must be finite")
-    return out
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,7 @@ class ComplexElement:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _as_cvector(self.z))
+        object.__setattr__(self, "z", finite_vector(self.z, complex))
         object.__setattr__(self, "t", float(self.t))
         if not math.isfinite(self.t):
             raise ParameterError("t must be finite")
@@ -63,9 +55,7 @@ class ComplexElement:
 
     @staticmethod
     def identity(n: int) -> "ComplexElement":
-        if n < 1:
-            raise DimensionError("n must be >= 1")
-        return trusted_output(ComplexElement, (0j,) * n, 0.0)
+        return trusted_output(ComplexElement, (0j,) * dimension(n), 0.0)
 
 
 def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
@@ -93,7 +83,7 @@ class SiegelPoint:
     sigma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _as_cvector(self.w))
+        object.__setattr__(self, "w", finite_vector(self.w, complex))
         object.__setattr__(self, "sigma", complex(self.sigma))
         if not cmath.isfinite(self.sigma):
             raise ParameterError("sigma must be finite")

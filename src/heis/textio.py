@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .core import RealElement
-from .errors import DimensionError, LiteralSyntaxError
+from .errors import DimensionError, LiteralSyntaxError, dimension
 from .lattice import LatticeElement
 from .siegel import ComplexElement, SiegelPoint
 
@@ -62,7 +62,7 @@ def _parse_complex(tok: str) -> complex:
 
 
 def _check_len(parts, n: int) -> None:
-    if len(parts) != n:
+    if len(parts) != dimension(n):
         raise DimensionError(f"expected {n} components, got {len(parts)}")
 
 

@@ -1,18 +1,24 @@
 """The validation boundary.
 
-Public constructors and the text parsers validate; every operation output is
-built without re-running `__post_init__` (errors.trusted_output /
-errors.finite_output).  These tests pin both halves: an operation's output is
-exactly what the validating constructor would have built from its fields, no
-validation runs while operations compute, and the one check the trusted path
-keeps, the float-overflow test, still names the operation.
+Public constructors, the public functions that take a dimension, and the text
+parsers validate, each input kind through its one validator in `errors`;
+every operation output is built without re-running `__post_init__`
+(errors.trusted_output / errors.finite_output).  These tests pin both halves:
+every public entry point that takes a dimension n refuses a bad one the same
+way, text is never read as a number, an operation's output is exactly what
+the validating constructor would have built from its fields, no validation
+runs while operations compute, and the one check the trusted path keeps, the
+float-overflow test, still names the operation.
 """
 
+import inspect
+import math
 import random
 
+import numpy as np
 import pytest
 
-from heis import core, lattice, siegel
+from heis import checks, core, errors, grid, lattice, siegel, textio
 from heis.errors import DimensionError, ParameterError
 
 VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint)
@@ -152,3 +158,155 @@ def test_embedding_keeps_its_dimension_check(k, l):
 def test_embedding_overflow_is_a_parameter_error(call):
     with pytest.raises(ParameterError, match="^embedding overflows the float range$"):
         call()
+
+
+# --- one validator per input kind ---------------------------------------------
+
+DIMENSION_MODULES = (core, lattice, grid, siegel, textio, checks)
+# a valid value for every other parameter without a default of an entry point
+# that takes n; a new entry point with a new parameter name must add it here
+VALID_ARGUMENTS = {"tok": lattice.GeneratorToken("a", 1, 1), "tokens": (), "N": 4,
+                   "trials": 1, "seed": 0}
+VALID_TEXT = {"heis.lattice.parse_word": "a1", "heis.textio.parse_real_element": "1;2;3",
+              "heis.textio.parse_complex_element": "1+2i;3",
+              "heis.textio.parse_siegel_point": "1;2i"}
+KNOWN_DIMENSION_ENTRY_POINTS = {
+    "heis.core.RealElement.identity", "heis.lattice.LatticeElement.identity",
+    "heis.lattice.gen_c", "heis.lattice.token_element", "heis.lattice.Word",
+    "heis.lattice.parse_word", "heis.lattice.check_relations", "heis.grid.GridSpec",
+    "heis.siegel.ComplexElement.identity", "heis.checks.rep_check",
+    "heis.checks.siegel_check", "heis.checks.relation_check",
+} | set(VALID_TEXT)
+
+
+def dimension_entry_points():
+    """(qualified name, callable) for every public function, class and static
+    or class method defined in the library's modules that takes an `n`."""
+    for module in DIMENSION_MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            found = [(name, obj)]
+            if inspect.isclass(obj):
+                found += [(f"{name}.{attr}", getattr(obj, attr))
+                          for attr, member in vars(obj).items()
+                          if not attr.startswith("_")
+                          and isinstance(member, (staticmethod, classmethod))]
+            for label, fn in found:
+                if callable(fn) and "n" in inspect.signature(fn).parameters:
+                    yield f"{module.__name__}.{label}", fn
+
+
+def test_every_dimension_entry_point_refuses_a_bad_n():
+    """n = 1.5 and n = "2" are parameter errors and n = 0 a dimension error,
+    never a TypeError, at every public entry point that takes n."""
+    seen = set()
+    for qualname, fn in dimension_entry_points():
+        seen.add(qualname)
+        params = inspect.signature(fn).parameters
+        others = {name: VALID_TEXT[qualname] if name == "text" else VALID_ARGUMENTS[name]
+                  for name, param in params.items()
+                  if name != "n" and param.default is inspect.Parameter.empty}
+        for bad, error in [(1.5, ParameterError), ("2", ParameterError), (0, DimensionError)]:
+            with pytest.raises(error) as info:
+                fn(n=bad, **others)
+            assert type(info.value) is error, (qualname, bad)
+            if error is DimensionError:
+                assert str(info.value) == "n must be >= 1", qualname
+            else:
+                assert str(info.value) == f"n must be an integer, got {bad!r}", (qualname, bad)
+    assert KNOWN_DIMENSION_ENTRY_POINTS <= seen
+
+
+def test_validators():
+    assert errors.dimension(np.int64(3)) == 3 and type(errors.dimension(np.int64(3))) is int
+    assert errors.finite_vector((x for x in (1, np.float32(0.5))), float) == (1.0, 0.5)
+    assert errors.finite_vector([2, 1j], complex) == (2 + 0j, 1j)
+    with pytest.raises(DimensionError, match="^vectors must have length n >= 1$"):
+        errors.finite_vector((), float)
+    for bad in [(math.inf,), (0.0, math.nan)]:
+        with pytest.raises(ParameterError, match="^vector components must be finite$"):
+            errors.finite_vector(bad, float)
+    for bad in [1.0, (None,), (1j,)]:
+        with pytest.raises(ParameterError, match="^vector components must be numbers"):
+            errors.finite_vector(bad, float)
+
+
+def _f(n=1):
+    spec = grid.GridSpec(n, 8)
+    return grid.GridFunction(spec, np.linspace(0, 1, 8**n).reshape(spec.shape))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: core.RealElement(("1",), (0.0,), 0),
+    lambda: core.RealElement((0.0,), (b"1",), 0),
+    lambda: core.RealElement("12", "34", 0),
+    lambda: siegel.ComplexElement(("1+2j",), 0),
+    lambda: siegel.SiegelPoint((1j, "2"), 1j),
+    lambda: grid.coordinate_multiply(("0.5",), _f()),
+    lambda: grid.directional_difference((b"1",), _f()),
+    lambda: grid.commutator_defect(("1",), ("1e0",), _f()),
+    lambda: grid.commutator_defect((1.0,), ("1e0",), _f()),
+], ids=["RealElement-x", "RealElement-y-bytes", "RealElement-strings", "ComplexElement",
+        "SiegelPoint", "coordinate_multiply", "directional_difference", "commutator_defect-nu",
+        "commutator_defect-u"])
+def test_text_components_are_refused(call):
+    """Text is parsed by `textio`, never read as a number by a constructor."""
+    with pytest.raises(ParameterError, match="^vector components must be numbers"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: grid.commutator_defect((math.inf,), (1.0,), _f()),
+    lambda: grid.commutator_defect((1.0,), (math.nan,), _f()),
+    lambda: grid.coordinate_multiply((math.inf, 0.0), _f(2)),
+    lambda: grid.directional_difference((math.nan,), _f()),
+], ids=["commutator_defect-nu", "commutator_defect-u", "coordinate_multiply",
+        "directional_difference"])
+def test_grid_weights_must_be_finite(call):
+    """A non-finite weight is the caller's bad input, not a bad sample."""
+    with pytest.raises(ParameterError, match="^vector components must be finite$"):
+        call()
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (2, 4), (2, 16)])
+def test_rep_operator_trusts_what_rep_validated(n, N, monkeypatch):
+    """Applying a `rep` operator runs no vector check, no public grid
+    function and no validating constructor, and gives the bytes of
+    T_p(U_q(C_alpha f))."""
+    spec = grid.GridSpec(n, N)
+    rng = np.random.default_rng(N)
+    shape = spec.shape
+    fs = [grid.GridFunction(spec, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+          for _ in range(3)]
+    triples = [grid.QuantizedTriple(*(tuple(rng.integers(-2 * N, 2 * N, n)) for _ in range(2)),
+                                    int(rng.integers(-2 * N, 2 * N))) for _ in range(5)]
+    triples.append(grid.QuantizedTriple((0,) * n, (0,) * n, 0))
+    # exp(2 pi i m / N) from the root table rep reads: weyl_alpha at p = 1, q = m
+    alphas = [grid.weyl_alpha((1,), (g.m,), grid.GridSpec(1, N)) for g in triples]
+    expected = [[grid.apply_T(g.k, grid.apply_U(g.l, grid.apply_C(alpha, f))).values for f in fs]
+                for g, alpha in zip(triples, alphas)]
+    ops = [grid.rep(g, spec) for g in triples]
+
+    calls = []
+    names = ["_check_vec"] + [name for name, obj in vars(grid).items()
+                              if inspect.isfunction(obj) and not name.startswith("_")
+                              and obj.__module__ == grid.__name__]
+    for name in names:
+        def counted(*args, _fn=getattr(grid, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(grid, name, counted)
+    init = grid.GridFunction.__init__
+
+    def counted_init(self, *args):
+        calls.append("GridFunction")
+        init(self, *args)
+    monkeypatch.setattr(grid.GridFunction, "__init__", counted_init)
+    assert {"_check_vec", "apply_T", "apply_U", "apply_C"} <= set(names)
+
+    for op, want in zip(ops, expected):
+        for f, values in zip(fs, want):
+            out = op(f)
+            assert np.array_equal(out.values, values) and not out.values.flags.writeable
+    assert calls == []

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from heis import grid
+from heis import checks, grid
 from heis.errors import DimensionError, ParameterError
 
 
@@ -39,6 +39,18 @@ class TestSpec:
     def test_no_scale_parameter(self):
         # no operator reads a continuum scale, so the grid has none
         assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N", "L"]
+
+    def test_sizes_must_be_integers(self):
+        for n, N, message in [(1.5, 8, "^n must be an integer, got 1.5$"),
+                              ("2", 8, "^n must be an integer, got '2'$"),
+                              (1, 8.0, "^N must be an integer, got 8.0$"),
+                              (1, "8", "^N must be an integer, got '8'$")]:
+            with pytest.raises(ParameterError, match=message):
+                grid.GridSpec(n, N)
+        with pytest.raises(ParameterError, match="^N must be an integer"):
+            checks.rep_check(1, 8.0, 1, 0)
+        s = grid.GridSpec(np.int64(2), np.int32(8))
+        assert (type(s.n), type(s.N)) == (int, int) and s == grid.GridSpec(2, 8)
 
     def test_values_are_frozen(self):
         f = random_f(spec1())
@@ -271,6 +283,16 @@ class TestRepresentation:
                 g = grid.QuantizedTriple((p,), (0,), s_central)
                 expect = (p % 8 == 0) and (s_central % 8 == 0)
                 assert grid.is_identity_operator(grid.rep(g, s), s) == expect
+
+    def test_operator_refuses_a_function_on_another_grid(self):
+        g = grid.QuantizedTriple((3,), (5,), 1)
+        f = random_f(spec1(8))
+        with pytest.raises(DimensionError, match="^grid functions live on different grids$"):
+            grid.rep(g, spec1(16))(f)
+        with pytest.raises(DimensionError, match="^grid functions live on different grids$"):
+            grid.rep(g, spec1(8, L=2.0))(f)
+        # an equal grid is the same grid, whichever object describes it
+        assert np.array_equal(grid.rep(g, spec1(8))(f).values, grid.rep(g, f.spec)(f).values)
 
     def test_dense_matrix_matches_matrix_free(self):
         s = spec1(8)
