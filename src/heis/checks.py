@@ -3,11 +3,21 @@
 Every suite takes an integer seed and a trial count and returns a plain-text
 report plus a pass flag.  Randomness comes from numpy's default PCG64
 generator seeded directly with the given seed, and all numbers are printed
-with fixed formatting, so identical seeds give byte-identical reports.
+with fixed formatting, so identical seeds give byte-identical reports with
+the same numpy build and CPU features: numpy may fuse a complex product's
+multiply and add where the CPU can, which moves the last digits of the
+printed deviations.
+
+siegel-check draws SIEGEL_BLOCK trials at a time with one `uniform` call,
+the same doubles in the same order as drawing each trial alone, and runs the
+`siegel` kernels, the formulas of the scalar API, on one array per
+coordinate.  Memory stays bounded by the block, whatever the trial count.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import List, Tuple
 
 import numpy as np
@@ -20,6 +30,7 @@ REP_TOL = 1e-12                  # rep-check: max deviation of every property
 COMMUTATOR_RATIO = (3.5, 4.5)    # commutator: admissible defect ratio at N vs 2N
 SIEGEL_BOUND = 10.0              # siegel-check: samples are drawn from [-bound, bound]
 SIEGEL_TOL = 1e-10               # siegel-check: max deviation of every property
+SIEGEL_BLOCK = 4096              # siegel-check: trials drawn and run as arrays at once
 
 
 def _fmt(v: float) -> str:
@@ -31,13 +42,22 @@ def _verdict(lines: List[str], ok: bool) -> Tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
-def _check_run(n: int, trials: int, seed: int) -> None:
-    dimension(n)
+def _check_run(n: int, trials: int, seed: int) -> Tuple[int, int, int]:
+    """(n, trials, seed) as ints, once each is known to be valid."""
+    n = dimension(n)
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ParameterError(f"trials must be an integer, got {trials!r}") from None
     # with no trials every maximum stays 0 and the suite would pass vacuously
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    try:
+        if operator.index(seed) < 0:
+            raise TypeError  # a negative seed is refused like a non-integer
+    except TypeError:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
+    return n, trials, operator.index(seed)
 
 
 def relation_check(n: int) -> Tuple[str, bool]:
@@ -57,7 +77,7 @@ def _random_grid_function(rng: np.random.Generator, spec: grid.GridSpec) -> grid
 
 def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Weyl relation, homomorphism, inverse, and kernel checks on the grid."""
-    _check_run(n, trials, seed)
+    n, trials, seed = _check_run(n, trials, seed)
     spec = grid.GridSpec(n, N)
     rng = np.random.default_rng(seed)
     # No operator reads L or lambda, so neither is a setting.  The header prints
@@ -138,43 +158,54 @@ def commutator_check(N: int, L: float) -> Tuple[str, bool]:
     return _verdict(lines, COMMUTATOR_RATIO[0] <= ratio <= COMMUTATOR_RATIO[1])
 
 
+def _siegel_blocks(rng: np.random.Generator, n: int, trials: int):
+    """The trials' samples, SIEGEL_BLOCK at a time, as components for the
+    `siegel` kernels: (z, t, z2, t2, w, sigma), one array per coordinate.
+
+    Each trial takes 6n + 4 consecutive uniform draws: z (re, im interleaved),
+    t, z2, t2, w, then sigma's real and imaginary parts.
+    """
+    bound = SIEGEL_BOUND
+    for start in range(0, trials, SIEGEL_BLOCK):
+        draws = rng.uniform(-bound, bound, size=(min(SIEGEL_BLOCK, trials - start), 6 * n + 4))
+        z, z2, w = (tuple(draws[:, k:k + 2 * n].copy().view(np.complex128).T)
+                    for k in (0, 2 * n + 1, 4 * n + 2))
+        sigma = draws[:, 6 * n + 2:].copy().view(np.complex128)[:, 0]
+        yield z, draws[:, 2 * n], z2, draws[:, 4 * n + 1], w, sigma
+
+
+def _top(*parts):
+    """The elementwise maximum of arrays and numbers."""
+    return functools.reduce(np.maximum, parts)
+
+
 def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Height invariance, action composition, and dilation equivariance."""
-    _check_run(n, trials, seed)
-    bound = SIEGEL_BOUND
+    n, trials, seed = _check_run(n, trials, seed)
     rng = np.random.default_rng(seed)
-    lines = [f"siegel-check: n={n} trials={trials} seed={seed} bound={bound:.17g}"]
-
-    def rand_cvec(size: int) -> Tuple[complex, ...]:
-        v = rng.uniform(-bound, bound, size=2 * size)
-        return tuple(complex(v[2 * j], v[2 * j + 1]) for j in range(size))
+    lines = [f"siegel-check: n={n} trials={trials} seed={seed} bound={SIEGEL_BOUND:.17g}"]
 
     max_height = 0.0
     max_equiv = 0.0
     compose_fails = 0
-    for trial in range(trials):
-        g = siegel.ComplexElement(rand_cvec(n), float(rng.uniform(-bound, bound)))
-        g2 = siegel.ComplexElement(rand_cvec(n), float(rng.uniform(-bound, bound)))
-        p = siegel.SiegelPoint(rand_cvec(n), complex(*rng.uniform(-bound, bound, size=2)))
-        if trial == 0:
-            lines.append(f"first sample: z={g.z} t={g.t:.6f}")
+    factors = np.array(DIL_FACTORS)[:, None]
+    for block, (z, t, z2, t2, w, sigma) in enumerate(_siegel_blocks(rng, n, trials)):
+        if block == 0:
+            lines.append(f"first sample: z={tuple(complex(c[0]) for c in z)} t={t[0]:.6f}")
 
-        max_height = max(max_height, abs(siegel.height(siegel.act(g, p)) - siegel.height(p)))
-        if not siegel.act_compose_check(g, g2, p):
-            compose_fails += 1
-        for r in DIL_FACTORS:
-            d = siegel.ComplexDilation(r)
-            lhs = siegel.domain_dilate(d, siegel.act(g, p))
-            rhs = siegel.act(siegel.cdilate(d, g), siegel.domain_dilate(d, p))
-            scale = max(1.0, max(abs(c) for c in lhs.w), abs(lhs.sigma))
-            devn = max(
-                max(abs(a - b) for a, b in zip(lhs.w, rhs.w)),
-                abs(lhs.sigma - rhs.sigma),
-            ) / scale
-            max_equiv = max(max_equiv, devn)
+        moved = siegel._act(z, t, w, sigma)
+        max_height = max(max_height, np.max(abs(siegel._height(*moved) - siegel._height(w, sigma))))
+        dev, scale = siegel._compose_gap(z, t, z2, t2, w, sigma, top=_top)
+        compose_fails += int(np.count_nonzero(~(dev <= siegel.COMPOSE_TOL * scale)))
+        # one row per dilation factor
+        lw, ls = siegel._dilate(factors, *moved)
+        rw, rs = siegel._act(*siegel._dilate(factors, z, t), *siegel._dilate(factors, w, sigma))
+        scale = _top(1.0, *map(abs, lw), abs(ls))
+        devn = _top(*(abs(a - b) for a, b in zip(lw + (ls,), rw + (rs,)))) / scale
+        max_equiv = max(max_equiv, np.max(devn))
 
     lines.append(f"max height-invariance deviation: {_fmt(max_height)}")
     lines.append(f"composition-identity failures: {compose_fails}")
     lines.append(f"max dilation-equivariance deviation: {_fmt(max_equiv)}")
     ok = max_height <= SIEGEL_TOL and compose_fails == 0 and max_equiv <= SIEGEL_TOL
-    return _verdict(lines, ok)
+    return _verdict(lines, bool(ok))

@@ -26,8 +26,8 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_vector,
-                     trusted_output)
+from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_scalar,
+                     finite_vector, trusted_output)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -45,13 +45,11 @@ class RealElement:
     def __post_init__(self):
         object.__setattr__(self, "x", finite_vector(self.x, float))
         object.__setattr__(self, "y", finite_vector(self.y, float))
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", finite_scalar(self.t, float, "t"))
         if len(self.x) != len(self.y):
             raise DimensionError(
                 f"x has length {len(self.x)} but y has length {len(self.y)}"
             )
-        if not math.isfinite(self.t):
-            raise ParameterError("t must be finite")
 
     @property
     def n(self) -> int:
@@ -107,9 +105,8 @@ class Dilation:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        if not (self.r > 0.0 and math.isfinite(self.r)):
-            raise ParameterError(f"dilation parameter must be positive and finite, got {self.r}")
+        object.__setattr__(self, "r", finite_scalar(self.r, float, "dilation parameter",
+                                                    positive=True))
 
 
 def dilate(d: Dilation, g: RealElement) -> RealElement:

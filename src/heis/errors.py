@@ -7,7 +7,9 @@ functions that take a dimension, and the `textio` parsers.  Each input kind
 has one validator here, and no other code repeats its test:
 
 - `dimension(n)`: an ambient dimension, an integer n >= 1;
-- `finite_vector(v, convert)`: a non-empty vector of finite numbers.
+- `finite_vector(v, convert)`: a non-empty vector of finite numbers;
+- `finite_scalar(v, convert, name)`: one finite number, such as a central
+  coordinate, a dilation parameter or a grid period.
 
 Operation outputs are built by `trusted_output`, which skips those checks.
 The groups are closed under their operations, so a float overflow is the one
@@ -77,6 +79,22 @@ def finite_vector(v, convert) -> tuple:
         raise DimensionError("vectors must have length n >= 1")
     if not all(map(cmath.isfinite, out)):
         raise ParameterError("vector components must be finite")
+    return out
+
+
+def finite_scalar(v, convert, name: str, *, positive: bool = False):
+    """v converted by `convert` (`float` or `complex`): a finite number, and
+    a positive one if `positive`.  Text is refused, not read, as by
+    `finite_vector`; `name` names the field in the errors."""
+    try:
+        if type(v) not in _PLAIN and isinstance(v, _TEXT):
+            raise TypeError  # text is refused like any other non-number
+        out = convert(v)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a number, got {v!r}") from None
+    if not cmath.isfinite(out) or (positive and not out > 0):
+        raise ParameterError(f"{name} must be {'positive and ' if positive else ''}finite, "
+                             f"got {out}")
     return out
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, dimension, finite_vector
+from .errors import DimensionError, ParameterError, dimension, finite_scalar, finite_vector
 from .lattice import LatticeElement, linverse, lmul
 
 MAX_GRID_POINTS = 2**20
@@ -61,8 +61,7 @@ class GridSpec:
             raise ParameterError(f"N must be an integer, got {self.N!r}") from None
         if self.N < 2:
             raise ParameterError("N must be >= 2")
-        if not (self.L > 0 and math.isfinite(self.L)):
-            raise ParameterError("L must be positive and finite")
+        object.__setattr__(self, "L", finite_scalar(self.L, float, "L", positive=True))
         if self.N**self.n > MAX_GRID_POINTS:
             raise ParameterError(f"grid with N^n = {self.N**self.n} points exceeds the "
                                  f"{MAX_GRID_POINTS} guard")

@@ -18,19 +18,26 @@ which preserve the height Im sigma - |w|^2 exactly, hence map the domain to
 itself and its boundary to its boundary.  The anisotropic dilations
 (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma) intertwine the
 action and scale the height by r^2.
+
+Each formula lives once, in a private kernel over plain components (`_cmul`,
+`_act`, `_height`, `_dilate`, and `_compose_gap` for the composition
+identity).  A kernel runs unchanged on Python numbers and on numpy arrays
+holding one value per trial in each coordinate: the public functions wrap
+the kernels with the dimension check and `errors.finite_output`, and
+`checks.siegel_check` runs them on arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
-from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_vector,
-                     trusted_output)
+from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_scalar,
+                     finite_vector, trusted_output)
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
@@ -45,9 +52,7 @@ class ComplexElement:
 
     def __post_init__(self):
         object.__setattr__(self, "z", finite_vector(self.z, complex))
-        object.__setattr__(self, "t", float(self.t))
-        if not math.isfinite(self.t):
-            raise ParameterError("t must be finite")
+        object.__setattr__(self, "t", finite_scalar(self.t, float, "t"))
 
     @property
     def n(self) -> int:
@@ -58,15 +63,58 @@ class ComplexElement:
         return trusted_output(ComplexElement, (0j,) * dimension(n), 0.0)
 
 
+def _cdot(a: Sequence, b: Sequence):
+    """sum_j a_j conj(b_j)."""
+    return sum((x * y.conjugate() for x, y in zip(a, b)), 0j)
+
+
+def _norm2(v: Sequence):
+    """|v|^2.  a * a overflows to inf, where abs(c) ** 2 would raise OverflowError."""
+    return sum(a * a for a in map(abs, v))
+
+
+def _cmul(z: Sequence, t, z2: Sequence, t2) -> Tuple:
+    """(z, t)(z2, t2) on plain components: (z + z2, t + t2 + 2 Im z . conj(z2))."""
+    return tuple(map(operator.add, z, z2)), t + t2 + 2.0 * _cdot(z, z2).imag
+
+
+def _act(z: Sequence, t, w: Sequence, sigma) -> Tuple:
+    """A_(z,t)(w, sigma) on plain components."""
+    return tuple(map(operator.add, w, z)), sigma + t + 1j * _norm2(z) + 2j * _cdot(w, z)
+
+
+def _height(w: Sequence, sigma):
+    """Im sigma - |w|^2 on plain components."""
+    return sigma.imag - _norm2(w)
+
+
+def _dilate(r, v: Sequence, s) -> Tuple:
+    """(r v, r^2 s): the dilation of (z, t) and of (w, sigma) alike."""
+    return tuple(r * c for c in v), r * r * s
+
+
+def _compose_gap(z: Sequence, t, z2: Sequence, t2, w: Sequence, sigma, top) -> Tuple:
+    """(deviation, scale) of A_(z,t) A_(z2,t2) = A_((z,t)(z2,t2)) at (w, sigma):
+    the largest componentwise difference of the two sides, and the largest of 1
+    and every component's modulus.  `top` is the maximum of its arguments:
+    `_finite_max` on Python numbers, an elementwise maximum on arrays."""
+    lw, ls = _act(z, t, *_act(z2, t2, w, sigma))
+    rw, rs = _act(*_cmul(z, t, z2, t2), w, sigma)
+    lhs, rhs = lw + (ls,), rw + (rs,)
+    return top(*(abs(a - b) for a, b in zip(lhs, rhs))), top(1.0, *map(abs, lhs + rhs))
+
+
+def _finite_max(*moduli: float) -> float:
+    """The largest of finite moduli; an overflow on the way made one inf or nan."""
+    if not all(map(math.isfinite, moduli)):
+        raise ParameterError("composition overflows the float range")
+    return max(moduli)
+
+
 def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
     if g.n != h.n:
         raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
-    twist = 2.0 * sum((a * b.conjugate() for a, b in zip(g.z, h.z)), 0j).imag
-    return finite_output(
-        ComplexElement, "product",
-        tuple(a + b for a, b in zip(g.z, h.z)),
-        g.t + h.t + twist,
-    )
+    return finite_output(ComplexElement, "product", *_cmul(g.z, g.t, h.z, h.t))
 
 
 def cinverse(g: ComplexElement) -> ComplexElement:
@@ -84,23 +132,16 @@ class SiegelPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "w", finite_vector(self.w, complex))
-        object.__setattr__(self, "sigma", complex(self.sigma))
-        if not cmath.isfinite(self.sigma):
-            raise ParameterError("sigma must be finite")
+        object.__setattr__(self, "sigma", finite_scalar(self.sigma, complex, "sigma"))
 
     @property
     def n(self) -> int:
         return len(self.w)
 
 
-def _norm2(v: Sequence[complex]) -> float:
-    # a * a overflows to inf, where abs(c) ** 2 would raise OverflowError
-    return sum(a * a for a in map(abs, v))
-
-
 def height(p: SiegelPoint) -> float:
     """Im sigma - |w|^2; positive inside the domain, zero on its boundary."""
-    return p.sigma.imag - _norm2(p.w)
+    return _height(p.w, p.sigma)
 
 
 def classify(p: SiegelPoint) -> str:
@@ -117,9 +158,7 @@ def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     """The affine automorphism A_(z,t); preserves the height exactly."""
     if g.n != p.n:
         raise DimensionError(f"dimension mismatch: {g.n} vs {p.n}")
-    cross = sum((wj * zj.conjugate() for wj, zj in zip(p.w, g.z)), 0j)
-    sigma = p.sigma + g.t + 1j * _norm2(g.z) + 2j * cross
-    return finite_output(SiegelPoint, "action", tuple(a + b for a, b in zip(p.w, g.z)), sigma)
+    return finite_output(SiegelPoint, "action", *_act(g.z, g.t, p.w, p.sigma))
 
 
 def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> bool:
@@ -127,25 +166,16 @@ def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> 
 
     Componentwise comparison, relative to max(1, magnitudes involved).
     """
-    lhs = act(g, act(g2, p))
-    rhs = act(cmul(g, g2), p)
-    scale = max(
-        1.0,
-        max(abs(c) for c in lhs.w + rhs.w),
-        abs(lhs.sigma),
-        abs(rhs.sigma),
-    )
-    dev = max(
-        max(abs(a - b) for a, b in zip(lhs.w, rhs.w)),
-        abs(lhs.sigma - rhs.sigma),
-    )
+    if not g.n == g2.n == p.n:
+        raise DimensionError(f"dimension mismatch: {g.n} vs {g2.n} vs {p.n}")
+    dev, scale = _compose_gap(g.z, g.t, g2.z, g2.t, p.w, p.sigma, _finite_max)
     return dev <= COMPOSE_TOL * scale
 
 
 def cdilate(d: ComplexDilation, g: ComplexElement) -> ComplexElement:
-    return finite_output(ComplexElement, "dilation", tuple(d.r * c for c in g.z), d.r * d.r * g.t)
+    return finite_output(ComplexElement, "dilation", *_dilate(d.r, g.z, g.t))
 
 
 def domain_dilate(d: ComplexDilation, p: SiegelPoint) -> SiegelPoint:
     """Scales the height by exactly r^2, so preserves domain and boundary."""
-    return finite_output(SiegelPoint, "dilation", tuple(d.r * c for c in p.w), d.r * d.r * p.sigma)
+    return finite_output(SiegelPoint, "dilation", *_dilate(d.r, p.w, p.sigma))

@@ -130,6 +130,12 @@ OVERFLOWS = [
                                                 siegel.ComplexElement((1e300 - 1e300j,), 0)), id="cmul"),
     pytest.param("action", lambda: siegel.act(siegel.ComplexElement((1e160,), 0),
                                               siegel.SiegelPoint((0j,), 1j)), id="act"),
+    pytest.param("composition", lambda: siegel.act_compose_check(
+        siegel.ComplexElement((1e160,), 0), siegel.ComplexElement.identity(1),
+        siegel.SiegelPoint((0j,), 1j)), id="act_compose_check"),
+    pytest.param("composition", lambda: siegel.act_compose_check(
+        siegel.ComplexElement((1e300 + 1e300j,), 0), siegel.ComplexElement((1e300 - 1e300j,), 0),
+        siegel.SiegelPoint((0j,), 1j)), id="act_compose_check-product"),
     pytest.param("dilation", lambda: siegel.cdilate(HUGE, siegel.ComplexElement((1j,), 1)), id="cdilate"),
     pytest.param("dilation", lambda: siegel.domain_dilate(HUGE, siegel.SiegelPoint((1j,), 1j)),
                  id="domain_dilate"),
@@ -230,6 +236,70 @@ def test_validators():
     for bad in [1.0, (None,), (1j,)]:
         with pytest.raises(ParameterError, match="^vector components must be numbers"):
             errors.finite_vector(bad, float)
+
+
+def test_scalar_validator():
+    assert errors.finite_scalar(np.float32(0.5), float, "t") == 0.5
+    assert type(errors.finite_scalar(np.int64(2), float, "t")) is float
+    assert errors.finite_scalar(2, complex, "sigma") == 2 + 0j
+    assert type(errors.finite_scalar(True, complex, "sigma")) is complex
+    assert errors.finite_scalar(1e-300, float, "r", positive=True) == 1e-300
+
+
+@pytest.mark.parametrize("build, field, want", [
+    (lambda v: core.RealElement((1.0,), (1.0,), v), "t", float),
+    (lambda v: siegel.ComplexElement((1j,), v), "t", float),
+    (lambda v: siegel.SiegelPoint((1j,), v), "sigma", complex),
+    (lambda v: core.Dilation(v), "r", float),
+    (lambda v: grid.GridSpec(1, 8, v), "L", float),
+], ids=["RealElement.t", "ComplexElement.t", "SiegelPoint.sigma", "Dilation.r", "GridSpec.L"])
+def test_scalar_fields_take_numbers_only(build, field, want):
+    """A scalar field holds the converted number; text and other non-numbers
+    are parameter errors, never read and never a bare TypeError."""
+    for good in (2, 2.0, np.float64(2.0), np.int32(2)):
+        value = getattr(build(good), field)
+        assert type(value) is want and value == 2
+    for bad in ("2", b"2", None, [2.0], np.str_("2")):
+        with pytest.raises(ParameterError, match=r" must be a number, got "):
+            build(bad)
+    if want is float:
+        with pytest.raises(ParameterError, match=r"^\S.* must be a number, got 1j$"):
+            build(1j)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: core.RealElement((1.0,), (1.0,), math.inf), "t must be finite, got inf"),
+    (lambda: siegel.ComplexElement((1j,), math.nan), "t must be finite, got nan"),
+    (lambda: siegel.SiegelPoint((1j,), complex(0, math.inf)), "sigma must be finite, got infj"),
+    (lambda: core.Dilation(0), "dilation parameter must be positive and finite, got 0.0"),
+    (lambda: core.Dilation(-math.inf), "dilation parameter must be positive and finite, got -inf"),
+    (lambda: core.Dilation(math.nan), "dilation parameter must be positive and finite, got nan"),
+    (lambda: grid.GridSpec(1, 8, -1), "L must be positive and finite, got -1.0"),
+    (lambda: grid.GridSpec(1, 8, math.inf), "L must be positive and finite, got inf"),
+], ids=["RealElement.t", "ComplexElement.t", "SiegelPoint.sigma", "Dilation-0", "Dilation--inf",
+        "Dilation-nan", "GridSpec-negative", "GridSpec-inf"])
+def test_scalar_fields_must_be_finite(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: checks.rep_check(1, 4, 1.5, 0), "trials must be an integer, got 1.5"),
+    (lambda: checks.siegel_check(1, "2", 0), "trials must be an integer, got '2'"),
+    (lambda: checks.siegel_check(1, 2, 1.5), "seed must be a non-negative integer, got 1.5"),
+    (lambda: checks.rep_check(1, 4, 1, "0"), "seed must be a non-negative integer, got '0'"),
+    (lambda: checks.siegel_check(1, 0, 0), "trials must be >= 1, got 0"),
+    (lambda: checks.rep_check(1, 4, 1, -1), "seed must be a non-negative integer, got -1"),
+], ids=["rep_check-trials", "siegel_check-trials", "siegel_check-seed", "rep_check-seed",
+        "no-trials", "negative-seed"])
+def test_check_runs_take_integer_trials_and_seeds(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
+def test_check_runs_take_numpy_integers():
+    text, ok = checks.siegel_check(np.int64(1), np.int32(2), np.uint8(3))
+    assert ok and text.startswith("siegel-check: n=1 trials=2 seed=3 bound=10\n")
 
 
 def _f(n=1):

@@ -11,8 +11,11 @@ runs the parent first when i is odd and the change first when i is even, and
 takes the i-th seed, cycling.  Per workload and end-to-end metric the output
 records each side's median and quartiles, the relative change of the
 medians, the pairs the change won, the bound from BENCHMARK.json, whether the
-change stays inside it, and every run.  The file is rewritten after each
-pair, so an interrupted comparison keeps the pairs it finished.
+change stays inside it, and every run.  Each run's count of attempted units
+sits beside the metrics, in the same order as the runs, so a reader can tell
+whether a metric such as `peak_rss_mib` follows the number of units timed.
+The file is rewritten after each pair, so an interrupted comparison keeps
+the pairs it finished.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be >= 1, got {args.pairs}")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -105,6 +110,8 @@ def main(argv=None) -> int:
                 "pairs": i + 1,
                 "seeds": seeds,
                 "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
+                "attempted_per_run": {side: [r["attempted"] for r in results[side]]
+                                      for side in SIDES},
                 "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
                 "metrics": {spec["name"]: compare(spec, {
                     side: [r["metrics"][spec["name"]]["value"] for r in results[side]]
