@@ -4,7 +4,8 @@ One verb per library operation, stable text grammars, and fixed exit codes:
 
     0   success, or `heis <verb> --help`
     2   parse error (word or element literal)
-    3   domain error (dimension or parameter out of range, unreadable file)
+    3   domain error (dimension or parameter out of range, unreadable file,
+        an input too large for memory)
     4   a property-check verb found a violation
     64  unknown verb / usage error (missing, unknown or ill-typed argument)
 
@@ -180,6 +181,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (HeisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: the input is too large for memory", file=sys.stderr)
         return 3
     text, ok = (out + "\n", True) if isinstance(out, str) else out
     sys.stdout.write(text)

@@ -62,9 +62,13 @@ class GridSpec:
         if self.N < 2:
             raise ParameterError("N must be >= 2")
         object.__setattr__(self, "L", finite_scalar(self.L, float, "L", positive=True))
-        if self.N**self.n > MAX_GRID_POINTS:
-            raise ParameterError(f"grid with N^n = {self.N**self.n} points exceeds the "
-                                 f"{MAX_GRID_POINTS} guard")
+        # N >= 2, so at most 21 products: N**n itself can have millions of digits
+        points = 1
+        for _ in range(self.n):
+            points *= self.N
+            if points > MAX_GRID_POINTS:
+                raise ParameterError(f"grid with N^n = {self.N}^{self.n} points exceeds the "
+                                     f"{MAX_GRID_POINTS} guard")
 
     @property
     def h(self) -> float:
@@ -81,15 +85,22 @@ class GridFunction:
     __slots__ = ("spec", "values")
 
     def __init__(self, spec: GridSpec, values):
-        arr = np.asarray(values, dtype=np.complex128)
+        try:
+            arr = np.asarray(values)
+        except ValueError:
+            raise ParameterError("grid samples must form a regular array") from None
+        # booleans, integers, floats and complex numbers; text is not read
+        if arr.dtype.kind not in "biufc":
+            raise ParameterError(f"grid samples must be numbers, got {arr.dtype} values")
         if arr.size == spec.N**spec.n and arr.ndim == 1:
             arr = arr.reshape(spec.shape)
         if arr.shape != spec.shape:
             raise DimensionError(f"values have shape {arr.shape}, expected {spec.shape}")
+        arr = arr.astype(np.complex128, order="C")  # the one copy, owned here
         if not np.all(np.isfinite(arr)):
             raise ParameterError("grid samples must be finite")
-        self.spec, self.values = spec, arr.copy()
-        self.values.flags.writeable = False
+        arr.flags.writeable = False
+        self.spec, self.values = spec, arr
 
     @classmethod
     def _wrap(cls, spec: GridSpec, arr: np.ndarray) -> "GridFunction":
@@ -185,7 +196,7 @@ def apply_U(q: Sequence[int], f: GridFunction) -> GridFunction:
 
 def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
     """Multiplication by a unimodular scalar."""
-    alpha = complex(alpha)
+    alpha = finite_scalar(alpha, complex, "alpha")
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ParameterError(f"alpha must have unit modulus, got |alpha| = {abs(alpha)}")
     return GridFunction._wrap(f.spec, alpha * f.values)

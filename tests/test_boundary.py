@@ -283,6 +283,48 @@ def test_scalar_fields_must_be_finite(call, message):
         call()
 
 
+def test_apply_C_takes_finite_unimodular_numbers_only():
+    """alpha goes through the scalar validator before its unit-modulus test:
+    NaN passes `abs(abs(alpha) - 1) > 1e-12`, since comparisons with NaN are
+    false, and text would be read by complex()."""
+    f = grid.GridFunction(grid.GridSpec(1, 2), [1.0, 2.0])
+    assert np.array_equal(grid.apply_C(np.complex64(1j), f).values, [1j, 2j])
+    for bad, message in [(math.nan, "be finite, got (nan+0j)"),
+                         (complex(math.inf, 0), "be finite, got (inf+0j)"),
+                         ("1j", "be a number, got '1j'"), (b"1", "be a number, got b'1'"),
+                         (None, "be a number, got None"), ([1], "be a number, got [1]"),
+                         (2, "have unit modulus, got |alpha| = 2.0")]:
+        with pytest.raises(ParameterError) as info:
+            grid.apply_C(bad, f)
+        assert str(info.value) == f"alpha must {message}"
+
+
+@pytest.mark.parametrize("values", [
+    ["1", "2"], [b"1", b"2"], np.array(["1", "2"]), [np.str_("1"), np.str_("2")],
+    {1: 2}, [1j, object()], [1, None], [[1], [2, 3]],
+], ids=["str", "bytes", "str-array", "np.str_", "dict", "object", "None", "ragged"])
+def test_grid_samples_are_numbers_only(values):
+    """Text is never read as a sample, and a non-number is a parameter error,
+    not a bare TypeError."""
+    with pytest.raises(ParameterError,
+                       match="^grid samples must (be numbers, got|form a regular array$)"):
+        grid.GridFunction(grid.GridSpec(1, 2), values)
+
+
+def test_grid_samples_take_every_numeric_kind_and_copy_once():
+    spec = grid.GridSpec(2, 2)
+    for values in ([True, False, True, False], np.arange(4, dtype=np.uint8),
+                   np.arange(4, dtype=np.float32).reshape(2, 2), [1, 2.5, 3j, 4]):
+        f = grid.GridFunction(spec, values)
+        assert f.values.dtype == np.complex128 and f.values.shape == (2, 2)
+        assert np.array_equal(f.values.ravel(), np.asarray(values).ravel())
+    source = np.arange(4.0) + 0j
+    f = grid.GridFunction(spec, source)
+    assert f.values.base is None and not np.shares_memory(f.values, source)
+    assert f.values.flags.c_contiguous and not f.values.flags.writeable
+    assert grid.GridFunction(spec, source.reshape(2, 2).T).values.flags.c_contiguous
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: checks.rep_check(1, 4, 1.5, 0), "trials must be an integer, got 1.5"),
     (lambda: checks.siegel_check(1, "2", 0), "trials must be an integer, got '2'"),

@@ -118,6 +118,23 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "seed must be a non-negative integer" in err
 
+    @pytest.mark.parametrize("verb, word", [("eval", "a1"), ("norm", "a1"), ("relcheck", None),
+                                            ("siegel-check", None)])
+    def test_input_too_large_for_memory(self, capsys, verb, word):
+        """n = 10^15 asks for a tuple or array of 8 PB or more, which cannot be mapped,
+        so the allocation fails at once."""
+        argv = [verb, "--n", str(10**15)] + ([word] if word else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
+
+    @pytest.mark.parametrize("n", ["3000", "4000"])
+    def test_rep_check_huge_dimension(self, capsys, n):
+        """16^4000 has more digits than int-to-str converts, and 16^3000 has
+        3613: the point guard stops multiplying once the grid is too large."""
+        code, out, err = run(capsys, "rep-check", "--n", n, "--trials", "1")
+        assert (code, out) == (3, "")
+        assert err == f"error: grid with N^n = 16^{n} points exceeds the 1048576 guard\n"
+
     def test_siegel_act_overflow(self, capsys):
         # |z|^2 = 1e320 overflows; squaring with ** 2 used to raise OverflowError
         code, out, err = run(capsys, "siegel-act", "--n", "1", "1e160+0i;0", "1e160+0i;0+1i")

@@ -36,6 +36,13 @@ class TestSpec:
         with pytest.raises(ParameterError):
             grid.GridSpec(3, 2048)  # 2048^3 blows the point guard
 
+    def test_point_guard_edges(self):
+        for n, N in [(1, 2**20), (2, 2**10), (20, 2)]:
+            assert grid.GridSpec(n, N).shape == (N,) * n
+        for n, N in [(1, 2**20 + 1), (2, 2**10 + 1), (21, 2)]:
+            with pytest.raises(ParameterError, match=f"^grid with N\\^n = {N}\\^{n} points "):
+                grid.GridSpec(n, N)
+
     def test_no_scale_parameter(self):
         # no operator reads a continuum scale, so the grid has none
         assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N", "L"]
