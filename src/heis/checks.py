@@ -11,7 +11,13 @@ printed deviations.
 rep-check draws each trial with one `integers` call (p, q, s, p', q', s')
 and one `standard_normal` call (f's real, then imaginary parts): the numbers
 one call per component gives, since PCG64 keeps its spare 32-bit word in the
-bit generator.  Each operator is computed once per trial.
+bit generator.  It writes the draws into block arrays of at most
+REP_BLOCK_POINTS grid points (one trial if a grid is larger) and runs each
+block through `grid._monomial` as stacks: both orientations of the Weyl
+relation, the homomorphism and the inverse, each operator computed once per
+block.  Each product is the one the scalar operators form, so each trial's
+deviations keep their bytes.  The kernel check reads the operators' integer
+data, O(N^n + N), and memory stays bounded by the block.
 
 siegel-check draws SIEGEL_BLOCK trials at a time with one `uniform` call,
 the same doubles in the same order as drawing each trial alone, and runs the
@@ -27,11 +33,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import grid, lattice, siegel
+from . import core, grid, lattice, siegel
 from .errors import ParameterError, dimension
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
 REP_TOL = 1e-12                  # rep-check: max deviation of every property
+REP_BLOCK_POINTS = 2**16         # rep-check: grid points drawn and run as arrays at once
 COMMUTATOR_RATIO = (3.5, 4.5)    # commutator: admissible defect ratio at N vs 2N
 SIEGEL_BOUND = 10.0              # siegel-check: samples are drawn from [-bound, bound]
 SIEGEL_TOL = 1e-10               # siegel-check: max deviation of every property
@@ -75,6 +82,77 @@ def relation_check(n: int) -> Tuple[str, bool]:
     return _verdict(lines, report.ok)
 
 
+def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
+    """The trials' draws, REP_BLOCK_POINTS grid points at a time (at least one
+    trial): an int array of shape (B, 4n + 2) holding each trial's p, q, s,
+    p', q', s', and the complex samples f, of shape (B,) + the grid shape.
+
+    Each trial draws its integers with one `integers` call and f with one
+    `standard_normal` call (real parts, then imaginary parts), written into
+    arrays reused by every block.
+    """
+    n, N = spec.n, spec.N
+    block = min(trials, max(1, REP_BLOCK_POINTS // N**n))
+    ints = np.empty((block, 4 * n + 2), dtype=np.int64)
+    parts = np.empty((block, 2) + spec.shape)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        for b in range(size):
+            ints[b] = rng.integers(0, N, size=4 * n + 2)
+            rng.standard_normal(out=parts[b])
+        yield ints[:size], parts[:size, 0] + 1j * parts[:size, 1]
+
+
+def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over every trial and point, as `GridFunction.max_abs_diff`."""
+    return float(np.maximum.reduce(np.abs(a - b), axis=None))
+
+
+def _rep_deviations(spec: grid.GridSpec, ints: np.ndarray, f: np.ndarray) -> Tuple[float, ...]:
+    """The largest Weyl-relation, homomorphism and inverse deviations over a
+    block of trials, each operator one `grid._monomial` stack.  Every product
+    is the one the scalar operators form, in the same order, so each trial's
+    deviations keep the bytes of applying `grid.rep` to it alone."""
+    n, N = spec.n, spec.N
+    roots = grid._tables(n, N)[0]
+    # one component per column, shaped (B,) + (1,) * n to broadcast against the grid
+    cols = ints.reshape(ints.shape + (1,) * n)
+    p, q, p2, q2 = (tuple(cols[:, k + a] for a in range(n)) for k in (0, n, 2 * n + 1, 3 * n + 1))
+    g, g2 = (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1])
+    rep_g = grid._monomial(*g, spec)
+
+    # U T = T U C_alpha, and the reverse orientation with conj(alpha)
+    move, phases = rep_g[0], roots[rep_g[1]]
+    alpha = roots[sum(map(operator.mul, q, p)) % N]
+    ut = phases * grid._move(f, move)
+    weyl = max(_max_dev(ut, grid._move(phases * (alpha * f), move)),
+               _max_dev(grid._move(phases * f, move), alpha.conj() * ut))
+    del ut, phases  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
+
+    direct = grid._apply(grid._monomial(*core.law(*g, *g2), spec), f, spec)
+    composed = grid._apply(rep_g, grid._apply(grid._monomial(*g2, spec), f, spec), spec)
+    hom = _max_dev(composed, direct)
+    del direct, composed
+    undone = grid._apply(grid._monomial(*core.law_inverse(*g), spec),
+                         grid._apply(rep_g, f, spec), spec)
+    return weyl, hom, _max_dev(undone, f)
+
+
+def _kernel_violations(spec: grid.GridSpec) -> List[str]:
+    """The kernel check, read off the operators' integer data: among the 2N
+    central elements (0, 0, s), exactly those with s divisible by N act as the
+    identity, and the unit shift does not."""
+    n, N = spec.n, spec.N
+    zeros, central = (0,) * n, np.arange(2 * N)
+    identity = grid._is_identity(
+        grid._monomial(zeros, zeros, central.reshape((-1,) + (1,) * n), spec), spec)
+    lines = [f"kernel violation at s={s}"
+             for s in np.flatnonzero(identity != (central % N == 0)).tolist()]
+    if grid._is_identity(grid._monomial((1,) + zeros[1:], zeros, 0, spec), spec)[0]:
+        lines.append("kernel violation: nontrivial shift acts as identity")
+    return lines
+
+
 def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Weyl relation, homomorphism, inverse, and kernel checks on the grid."""
     n, trials, seed = _check_run(n, trials, seed)
@@ -85,45 +163,22 @@ def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
     lines = [f"rep-check: n={n} N={N} L=1 lambda=1 trials={trials} seed={seed}"]
 
     max_weyl = max_hom = max_inv = 0.0
-    for trial in range(trials):
-        ints = rng.integers(0, N, size=4 * n + 2).tolist()
-        p, q, p2, q2 = (tuple(ints[k:k + n]) for k in (0, n, 2 * n + 1, 3 * n + 1))
-        s, s2 = ints[2 * n], ints[4 * n + 1]
-        parts = rng.standard_normal((2,) + spec.shape)
-        f = grid.GridFunction(spec, parts[0] + 1j * parts[1])
-        if trial == 0:
-            lines.append(f"first sample: p={p} q={q} s={s} p'={p2} q'={q2} s'={s2}")
+    for block, (ints, f) in enumerate(_rep_blocks(rng, spec, trials)):
+        if block == 0:
+            first = ints[0].tolist()
+            p, q, p2, q2 = (tuple(first[k:k + n]) for k in (0, n, 2 * n + 1, 3 * n + 1))
+            lines.append(f"first sample: p={p} q={q} s={first[2 * n]} p'={p2} q'={q2} "
+                         f"s'={first[4 * n + 1]}")
+        weyl, hom, inv = _rep_deviations(spec, ints, f)
+        max_weyl, max_hom, max_inv = max(max_weyl, weyl), max(max_hom, hom), max(max_inv, inv)
 
-        # U T = T U C_alpha, and the reverse orientation with conj(alpha)
-        alpha = grid.weyl_alpha(p, q, spec)
-        ut = grid.apply_U(q, grid.apply_T(p, f))
-        rhs = grid.apply_T(p, grid.apply_U(q, grid.apply_C(alpha, f)))
-        tu = grid.apply_T(p, grid.apply_U(q, f))
-        max_weyl = max(max_weyl, ut.max_abs_diff(rhs),
-                       tu.max_abs_diff(grid.apply_C(alpha.conjugate(), ut)))
-
-        g, g2 = lattice.LatticeElement(p, q, s), lattice.LatticeElement(p2, q2, s2)
-        rep_g = grid.rep(g, spec)
-        direct = grid.rep(lattice.lmul(g, g2), spec)(f)
-        max_hom = max(max_hom, rep_g(grid.rep(g2, spec)(f)).max_abs_diff(direct))
-        max_inv = max(max_inv, grid.rep(lattice.linverse(g), spec)(rep_g(f)).max_abs_diff(f))
-
-    kernel_ok = True
-    for s in range(2 * N):
-        central = grid.rep(grid.QuantizedTriple((0,) * n, (0,) * n, s), spec)
-        if grid.is_identity_operator(central, spec) != (s % N == 0):
-            kernel_ok = False
-            lines.append(f"kernel violation at s={s}")
-    nontrivial = grid.QuantizedTriple((1,) + (0,) * (n - 1), (0,) * n, 0)
-    if grid.is_identity_operator(grid.rep(nontrivial, spec), spec):
-        kernel_ok = False
-        lines.append("kernel violation: nontrivial shift acts as identity")
-
+    violations = _kernel_violations(spec)
+    lines.extend(violations)
     lines.append(f"max weyl-relation deviation: {_fmt(max_weyl)}")
     lines.append(f"max homomorphism deviation: {_fmt(max_hom)}")
     lines.append(f"max inverse deviation: {_fmt(max_inv)}")
-    lines.append(f"kernel check: {'ok' if kernel_ok else 'FAILED'}")
-    ok = kernel_ok and max(max_weyl, max_hom, max_inv) <= REP_TOL
+    lines.append(f"kernel check: {'FAILED' if violations else 'ok'}")
+    ok = not violations and max(max_weyl, max_hom, max_inv) <= REP_TOL
     return _verdict(lines, ok)
 
 
@@ -174,6 +229,11 @@ def _top(*parts):
 def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Height invariance, action composition, and dilation equivariance."""
     n, trials, seed = _check_run(n, trials, seed)
+    # numpy refuses with a ValueError an array of more bytes than an index can count
+    block, width = min(trials, SIEGEL_BLOCK), 6 * n + 4
+    if block * width > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"siegel-check blocks of {block} x {width} samples exceed the "
+                             f"largest array")
     rng = np.random.default_rng(seed)
     lines = [f"siegel-check: n={n} trials={trials} seed={seed} bound={SIEGEL_BOUND:.17g}"]
 

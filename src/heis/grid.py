@@ -15,11 +15,24 @@ with (p, q, s) = (k, l, m), and triples multiply by lattice.lmul.  Its kernel
 is the triples with p, q, s all divisible by N.  No operator reads a
 continuum scale lambda, so the code has none; L only sets h, for the commutator.
 
+Every rep(p, q, s) is a monomial operator (Schwinger's finite Weyl pair):
+out[j] = exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].  One kernel,
+`_monomial`, turns (p, q, s) into integer data: T_p's source index, U_q's
+root exponent (q . j) mod N and the central exponent s mod N.  Its
+components are Python ints (the scalar operators) or int arrays with a
+leading trial axis, for a stack of operators applied to a stack of
+functions in one pass.  One operator gathers fastest axis by axis, at a
+slice of a table of k mod N for k < 2 N; a stack gathers once, at a flat
+index.  The operator is the identity exactly when its source index is
+arange and every exponent is 0, which `_is_identity` reads off the data
+without applying anything.
+
 Every phase is read from a table of the N roots exp(2 pi i k / N): U's
 diagonal is roots[(q . j) mod N], and alpha and the central phase are
-roots[(q . p) mod N] and roots[s mod N].  T gathers each axis at
-(j - p_a) mod N, a slice of a table of k mod N for k < 2 N.  The tables hold
-O(N) numbers and are cached for at most 16 sizes (n, N).  `rep` fixes its
+roots[(q . p) mod N] and roots[s mod N].  The tables hold O(N) numbers and
+are cached for at most 16 sizes (n, N).
+An operator multiplies by alpha, then by the phases, then gathers, one
+function or a stack alike, so both give the same bytes.  `rep` fixes its
 operator's scalar, phases and gathers once, when the operator is built.
 
 A central-difference directional derivative and a coordinate multiplication
@@ -153,10 +166,8 @@ def _tables(n: int, N: int) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, .
     return roots, cyclic, axes
 
 
-def _gathers(p: Tuple[int, ...], spec: GridSpec) -> list:
+def _gathers(p: Tuple[int, ...], N: int, cyclic: np.ndarray) -> list:
     """T_p as (axis, (j - p_a) mod N over j < N) per axis it moves: cyclic[N - k : 2 N - k]."""
-    N = spec.N
-    _, cyclic, _ = _tables(spec.n, N)
     gathers = []
     for axis, shift in enumerate(p):
         k = shift % N
@@ -172,26 +183,88 @@ def _shift(values: np.ndarray, gathers: list) -> np.ndarray:
     return values
 
 
-def _phases(q: Tuple[int, ...], spec: GridSpec) -> np.ndarray:
-    """U_q's diagonal roots[(q . j) mod N]: the exponent is reduced before any rounding."""
-    N = spec.N
-    roots, _, axes = _tables(spec.n, N)
+def _source(p: Tuple[np.ndarray, ...], N: int, cyclic: np.ndarray, axes: tuple) -> np.ndarray:
+    """T_p for a stack of B shifts, each p_a an int array of shape (B,) + (1,) * n:
+    at each point j of trial b, the flat index of (b, (j - p) mod N) in the
+    flattened stack.  One gather then moves the whole stack."""
+    source = np.arange(len(p[0])).reshape(p[0].shape)
+    for axis, shift in zip(axes, p):
+        source = source * N + cyclic[(N - shift % N) + axis]
+    return source
+
+
+def _exponent(q: Tuple, N: int, axes: tuple) -> np.ndarray:
+    """U_q's root exponent (q . j) mod N at each grid point j, reduced before any
+    rounding; for a stack of B modulations, of shape (B,) + the grid shape."""
     index = axes[0] * (q[0] % N)
     for axis, qa in zip(axes[1:], q[1:]):
         index = index + axis * (qa % N)
     index %= N
-    return roots[index]
+    return index
+
+
+def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
+    """rep(p, q, s) as integer data (move, exponent, central), which says that
+    out[j] = roots[central] roots[exponent[i]] f[i] at i = (j - p) mod N, that is,
+    exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].
+
+    Each component is a Python int, or an int array of shape (B,) + (1,) * n
+    for a stack of B operators.  The move is the `_gathers` of p when its
+    components are ints (slices gather one function fastest) and the `_source`
+    index when they are arrays.  The exponent is U_q's and the central exponent
+    is s mod N, each in its own broadcast shape.
+    """
+    N = spec.N
+    _, cyclic, axes = _tables(spec.n, N)
+    move = _gathers(p, N, cyclic) if isinstance(p[0], int) else _source(p, N, cyclic, axes)
+    return move, _exponent(q, N, axes), s % N
+
+
+def _move(values: np.ndarray, move) -> np.ndarray:
+    """values translated by the move of `_monomial` data."""
+    if isinstance(move, list):
+        return _shift(values, move)
+    return values.reshape(-1).take(move)
+
+
+def _apply(data: Tuple, values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The operator of `_monomial` data on values: one function for int
+    components, a stack of B functions for stacked ones.  Alpha times the
+    values, then the phases, then the gather, as in `rep`."""
+    move, exponent, central = data
+    roots = _tables(spec.n, spec.N)[0]
+    return _move(roots[exponent] * (roots[central] * values), move)
+
+
+def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:
+    """Per operator of `_monomial` data, whether it is the identity: its source
+    index is arange and every exponent is 0.  Exact, and O(N^n) for one move
+    and one U exponent however many central exponents come with them."""
+    move, exponent, central = data
+    grid_axes = tuple(range(-spec.n, 0))
+    if isinstance(move, list):
+        points = np.arange(spec.N**spec.n).reshape(spec.shape)
+        source = _shift(points, move)
+    else:
+        source, points = move, np.arange(move.size).reshape(move.shape)
+    return (np.all(source == points, axis=grid_axes) & np.all(exponent == 0, axis=grid_axes)
+            & (np.ravel(central) == 0))
 
 
 def apply_T(p: Sequence[int], f: GridFunction) -> GridFunction:
     """Cyclic translation: out[j] = f[j - p mod N].  An exact permutation."""
-    out = _shift(f.values, _gathers(_check_vec(p, f.spec.n, "p"), f.spec))
-    return GridFunction._wrap(f.spec, out.copy() if out is f.values else out)
+    spec = f.spec
+    gathers = _gathers(_check_vec(p, spec.n, "p"), spec.N, _tables(spec.n, spec.N)[1])
+    out = _shift(f.values, gathers)
+    return GridFunction._wrap(spec, out.copy() if out is f.values else out)
 
 
 def apply_U(q: Sequence[int], f: GridFunction) -> GridFunction:
     """Modulation: multiply sample j by exp(2 pi i (q . j) / N)."""
-    return GridFunction._wrap(f.spec, _phases(_check_vec(q, f.spec.n, "q"), f.spec) * f.values)
+    spec = f.spec
+    roots, _, axes = _tables(spec.n, spec.N)
+    return GridFunction._wrap(spec, roots[_exponent(_check_vec(q, spec.n, "q"), spec.N, axes)]
+                              * f.values)
 
 
 def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
@@ -225,8 +298,9 @@ def rep(g: LatticeElement, spec: GridSpec) -> Callable[[GridFunction], GridFunct
     """
     if g.n != spec.n:
         raise DimensionError(f"triple has dimension {g.n}, grid has {spec.n}")
-    alpha = complex(_tables(spec.n, spec.N)[0][g.m % spec.N])
-    phases, gathers = _phases(g.l, spec), _gathers(g.k, spec)
+    gathers, exponent, central = _monomial(g.k, g.l, g.m, spec)
+    roots = _tables(spec.n, spec.N)[0]
+    alpha, phases = complex(roots[central]), roots[exponent]
 
     def operator(f: GridFunction) -> GridFunction:
         if f.spec is not spec and f.spec != spec:

@@ -127,6 +127,18 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
 
+    @pytest.mark.parametrize("argv, block, width", [
+        (("--n", str(10**15), "--trials", "4096"), 4096, 6 * 10**15 + 4),
+        (("--n", str(10**19)), 100, 6 * 10**19 + 4),
+    ])
+    def test_siegel_check_block_too_large_for_an_array(self, capsys, argv, block, width):
+        """numpy raises ValueError, not MemoryError, for an array of more bytes than
+        an index counts; the check refuses such a block first and names its size."""
+        code, out, err = run(capsys, "siegel-check", *argv)
+        assert (code, out) == (3, "")
+        assert err == (f"error: siegel-check blocks of {block} x {width} samples exceed "
+                       f"the largest array\n")
+
     @pytest.mark.parametrize("n", ["3000", "4000"])
     def test_rep_check_huge_dimension(self, capsys, n):
         """16^4000 has more digits than int-to-str converts, and 16^3000 has

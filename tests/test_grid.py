@@ -358,6 +358,84 @@ class TestIndependentOracles:
                 assert abs(mat[row, col] - phase) <= 1e-12, (p, q, j)
 
 
+class TestMonomialKernel:
+    """grid._monomial, the integer data of rep(p, q, s), against the np.indices
+    formula out[j] = exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N], one
+    operator at a time and as a stack with a leading trial axis."""
+
+    SIZES = [(n, N) for n in (1, 2, 3) for N in (2, 5, 16)]
+
+    @staticmethod
+    def triples(n, N):
+        rng = np.random.default_rng(7 * n + N)
+        return [(p, q, int(s)) for (p, q), s in zip(vectors(n, N, seed=N + n),
+                                                    rng.integers(-3 * N, 3 * N, 8))]
+
+    @staticmethod
+    def stack(triples, n):
+        """The triples' components as int arrays of shape (B,) + (1,) * n."""
+        shape = (len(triples),) + (1,) * n
+        p, q, s = (np.array(part).reshape(len(triples), -1) for part in zip(*triples))
+        return (tuple(p[:, a].reshape(shape) for a in range(n)),
+                tuple(q[:, a].reshape(shape) for a in range(n)), s.reshape(shape))
+
+    @staticmethod
+    def assert_formula(spec, source, exponent, central, p, q, s):
+        n, N = spec.n, spec.N
+        j = np.indices(spec.shape)
+        moved = tuple((j[a] - p[a]) % N for a in range(n))
+        assert np.array_equal(source, np.ravel_multi_index(moved, spec.shape))
+        # U_q's exponent at each source point, s's on its own, and both at each output point
+        assert np.array_equal(np.broadcast_to(exponent, spec.shape),
+                              sum(q[a] * j[a] for a in range(n)) % N)
+        central = int(np.ravel(central)[0])
+        assert central == s % N
+        at_output = (central + np.broadcast_to(exponent, spec.shape).ravel()[source]) % N
+        assert np.array_equal(at_output, (s + sum(q[a] * (j[a] - p[a]) for a in range(n))) % N)
+
+    @pytest.mark.parametrize("n,N", SIZES)
+    def test_integer_data_is_the_index_formula(self, n, N):
+        spec = grid.GridSpec(n, N)
+        points = np.arange(N**n).reshape(spec.shape)
+        triples = self.triples(n, N)
+        for p, q, s in triples:
+            move, exponent, central = grid._monomial(p, q, s, spec)
+            self.assert_formula(spec, grid._move(points, move), exponent, central, p, q, s)
+        move, exponent, central = grid._monomial(*self.stack(triples, n), spec)
+        for b, (p, q, s) in enumerate(triples):
+            # a stack's source indexes the flattened stack: trial b starts at b N^n
+            self.assert_formula(spec, move[b] - b * N**n, exponent[b], central[b], p, q, s)
+
+    @pytest.mark.parametrize("n,N", SIZES)
+    def test_stack_is_rep_byte_for_byte(self, n, N):
+        spec = grid.GridSpec(n, N)
+        triples = self.triples(n, N)
+        rng = np.random.default_rng(n * N)
+        shape = (len(triples),) + spec.shape
+        fs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = grid._apply(grid._monomial(*self.stack(triples, n), spec), fs, spec)
+        for b, (p, q, s) in enumerate(triples):
+            want = grid.rep(grid.QuantizedTriple(p, q, s), spec)(grid.GridFunction(spec, fs[b]))
+            assert out[b].tobytes() == want.values.tobytes(), (p, q, s)
+            one = grid._apply(grid._monomial(p, q, s, spec), fs[b], spec)
+            assert one.tobytes() == want.values.tobytes(), (p, q, s)
+
+    @pytest.mark.parametrize("n,N", [(1, 2), (1, 5), (2, 2), (2, 5)])
+    def test_identity_is_the_basis_sweep(self, n, N):
+        """`_is_identity` reads the integer data; `is_identity_operator` applies the
+        operator to every basis function.  They agree, in and out of the kernel."""
+        spec = grid.GridSpec(n, N)
+        steps = (0, 1, N, -N, 2 * N + 1)
+        triples = [((a,) + (0,) * (n - 1), (0,) * (n - 1) + (b,), c)
+                   for a in steps for b in steps for c in steps]
+        stacked = grid._is_identity(grid._monomial(*self.stack(triples, n), spec), spec)
+        for (p, q, s), got in zip(triples, stacked):
+            want = grid.is_identity_operator(grid.rep(grid.QuantizedTriple(p, q, s), spec), spec)
+            assert want == (p[0] % N == 0 and q[-1] % N == 0 and s % N == 0)
+            assert bool(got) == want
+            assert grid._is_identity(grid._monomial(p, q, s, spec), spec).tolist() == [want]
+
+
 class TestCommutator:
     def sine(self, N, L=1.0):
         s = spec1(N, L)
