@@ -124,9 +124,9 @@ def _rep_deviations(spec: grid.GridSpec, ints: np.ndarray, f: np.ndarray) -> Tup
     # U T = T U C_alpha, and the reverse orientation with conj(alpha)
     move, phases = rep_g[0], roots[rep_g[1]]
     alpha = roots[sum(map(operator.mul, q, p)) % N]
-    ut = phases * grid._move(f, move)
-    weyl = max(_max_dev(ut, grid._move(phases * (alpha * f), move)),
-               _max_dev(grid._move(phases * f, move), alpha.conj() * ut))
+    ut = phases * f.take(move)
+    weyl = max(_max_dev(ut, (phases * (alpha * f)).take(move)),
+               _max_dev((phases * f).take(move), alpha.conj() * ut))
     del ut, phases  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
 
     direct = grid._apply(grid._monomial(*core.law(*g, *g2), spec), f, spec)

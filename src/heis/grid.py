@@ -19,21 +19,22 @@ Every rep(p, q, s) is a monomial operator (Schwinger's finite Weyl pair):
 out[j] = exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].  One kernel,
 `_monomial`, turns (p, q, s) into integer data: T_p's source index, U_q's
 root exponent (q . j) mod N and the central exponent s mod N.  Its
-components are Python ints (the scalar operators) or int arrays with a
-leading trial axis, for a stack of operators applied to a stack of
-functions in one pass.  One operator gathers fastest axis by axis, at a
-slice of a table of k mod N for k < 2 N; a stack gathers once, at a flat
-index.  The operator is the identity exactly when its source index is
-arange and every exponent is 0, which `_is_identity` reads off the data
-without applying anything.
+components are Python ints (one operator) or int arrays with a leading
+trial axis, for a stack of operators applied to a stack of functions in one
+pass.  Either way T_p is one gather at a flat source index.  The operator
+is the identity exactly when its source index is arange and every exponent
+is 0, which `_is_identity` reads off the data without applying anything.
 
 Every phase is read from a table of the N roots exp(2 pi i k / N): U's
 diagonal is roots[(q . j) mod N], and alpha and the central phase are
 roots[(q . p) mod N] and roots[s mod N].  The tables hold O(N) numbers and
-are cached for at most 16 sizes (n, N).
+are cached for at most 16 sizes (n, N).  The scalar operators `apply_T`,
+`apply_U` and `rep` also read T_p's source index and U_q's phases from a
+cache keyed by (n, N) and the residues of p or q mod N.  It holds at most
+2 MiB, drops its oldest entries first and never holds a larger array.
 An operator multiplies by alpha, then by the phases, then gathers, one
 function or a stack alike, so both give the same bytes.  `rep` fixes its
-operator's scalar, phases and gathers once, when the operator is built.
+operator's scalar, phases and source index once, when it is built.
 
 A central-difference directional derivative and a coordinate multiplication
 operator are also provided, with a measured commutator defect against the
@@ -46,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Tuple
 
@@ -166,28 +168,12 @@ def _tables(n: int, N: int) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, .
     return roots, cyclic, axes
 
 
-def _gathers(p: Tuple[int, ...], N: int, cyclic: np.ndarray) -> list:
-    """T_p as (axis, (j - p_a) mod N over j < N) per axis it moves: cyclic[N - k : 2 N - k]."""
-    gathers = []
-    for axis, shift in enumerate(p):
-        k = shift % N
-        if k:
-            gathers.append((axis, cyclic[N - k:2 * N - k]))
-    return gathers
-
-
-def _shift(values: np.ndarray, gathers: list) -> np.ndarray:
-    """values translated by the `_gathers` of a shift; values itself if none moves."""
-    for axis, index in gathers:
-        values = values.take(index, axis=axis)
-    return values
-
-
-def _source(p: Tuple[np.ndarray, ...], N: int, cyclic: np.ndarray, axes: tuple) -> np.ndarray:
-    """T_p for a stack of B shifts, each p_a an int array of shape (B,) + (1,) * n:
-    at each point j of trial b, the flat index of (b, (j - p) mod N) in the
-    flattened stack.  One gather then moves the whole stack."""
-    source = np.arange(len(p[0])).reshape(p[0].shape)
+def _source(p: Tuple, N: int, cyclic: np.ndarray, axes: tuple) -> np.ndarray:
+    """T_p's source index: at each point j, the flat index of (j - p) mod N.  For
+    a stack of B shifts, each p_a an int array of shape (B,) + (1,) * n, it is
+    the flat index of (b, (j - p) mod N) in the flattened stack of trial b.
+    One gather then moves one function or the whole stack."""
+    source = np.arange(np.size(p[0])).reshape(np.shape(p[0]))
     for axis, shift in zip(axes, p):
         source = source * N + cyclic[(N - shift % N) + axis]
     return source
@@ -203,28 +189,52 @@ def _exponent(q: Tuple, N: int, axes: tuple) -> np.ndarray:
     return index
 
 
+# (n, N, kind, residues mod N) -> a frozen array: for kind "T" a shift's
+# `_source` index, for kind "U" a modulation's phases roots[(q . j) mod N].
+# Dicts keep insertion order, so the first entry is the oldest.  The lock keeps
+# the entries and their byte count in step when threads share the cache.
+_CACHE_BYTES = 2 * 2**20
+_operators: dict = {}
+_operator_bytes = 0
+_operator_lock = threading.Lock()
+
+
+def _operator(kind: str, v: Tuple[int, ...], spec: GridSpec) -> np.ndarray:
+    """T_v's source index (kind "T") or U_v's phases (kind "U"), built once per
+    residue vector and kept while at most _CACHE_BYTES are cached, dropping the
+    oldest entries first.  An array larger than the bound is not cached."""
+    global _operator_bytes
+    n, N = spec.n, spec.N
+    v = tuple([a % N for a in v])
+    key = (n, N, kind, v)
+    arr = _operators.get(key)
+    if arr is None:
+        roots, cyclic, axes = _tables(n, N)
+        arr = _source(v, N, cyclic, axes) if kind == "T" else roots[_exponent(v, N, axes)]
+        arr.setflags(write=False)
+        with _operator_lock:
+            if arr.nbytes <= _CACHE_BYTES and key not in _operators:
+                while _operator_bytes + arr.nbytes > _CACHE_BYTES:
+                    _operator_bytes -= _operators.pop(next(iter(_operators))).nbytes
+                _operators[key] = arr
+                _operator_bytes += arr.nbytes
+    return arr
+
+
 def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
     """rep(p, q, s) as integer data (move, exponent, central), which says that
     out[j] = roots[central] roots[exponent[i]] f[i] at i = (j - p) mod N, that is,
     exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].
 
     Each component is a Python int, or an int array of shape (B,) + (1,) * n
-    for a stack of B operators.  The move is the `_gathers` of p when its
-    components are ints (slices gather one function fastest) and the `_source`
-    index when they are arrays.  The exponent is U_q's and the central exponent
-    is s mod N, each in its own broadcast shape.
+    for a stack of B operators.  The move is p's `_source` index, read from the
+    `_operator` cache when p's components are ints.  The exponent is U_q's and
+    the central exponent is s mod N, each in its own broadcast shape.
     """
     N = spec.N
     _, cyclic, axes = _tables(spec.n, N)
-    move = _gathers(p, N, cyclic) if isinstance(p[0], int) else _source(p, N, cyclic, axes)
+    move = _operator("T", p, spec) if isinstance(p[0], int) else _source(p, N, cyclic, axes)
     return move, _exponent(q, N, axes), s % N
-
-
-def _move(values: np.ndarray, move) -> np.ndarray:
-    """values translated by the move of `_monomial` data."""
-    if isinstance(move, list):
-        return _shift(values, move)
-    return values.reshape(-1).take(move)
 
 
 def _apply(data: Tuple, values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -233,7 +243,7 @@ def _apply(data: Tuple, values: np.ndarray, spec: GridSpec) -> np.ndarray:
     values, then the phases, then the gather, as in `rep`."""
     move, exponent, central = data
     roots = _tables(spec.n, spec.N)[0]
-    return _move(roots[exponent] * (roots[central] * values), move)
+    return (roots[exponent] * (roots[central] * values)).take(move)
 
 
 def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:
@@ -242,29 +252,22 @@ def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:
     and one U exponent however many central exponents come with them."""
     move, exponent, central = data
     grid_axes = tuple(range(-spec.n, 0))
-    if isinstance(move, list):
-        points = np.arange(spec.N**spec.n).reshape(spec.shape)
-        source = _shift(points, move)
-    else:
-        source, points = move, np.arange(move.size).reshape(move.shape)
-    return (np.all(source == points, axis=grid_axes) & np.all(exponent == 0, axis=grid_axes)
+    points = np.arange(move.size).reshape(move.shape)
+    return (np.all(move == points, axis=grid_axes) & np.all(exponent == 0, axis=grid_axes)
             & (np.ravel(central) == 0))
 
 
 def apply_T(p: Sequence[int], f: GridFunction) -> GridFunction:
     """Cyclic translation: out[j] = f[j - p mod N].  An exact permutation."""
     spec = f.spec
-    gathers = _gathers(_check_vec(p, spec.n, "p"), spec.N, _tables(spec.n, spec.N)[1])
-    out = _shift(f.values, gathers)
-    return GridFunction._wrap(spec, out.copy() if out is f.values else out)
+    index = _operator("T", _check_vec(p, spec.n, "p"), spec)
+    return GridFunction._wrap(spec, f.values.take(index))
 
 
 def apply_U(q: Sequence[int], f: GridFunction) -> GridFunction:
     """Modulation: multiply sample j by exp(2 pi i (q . j) / N)."""
     spec = f.spec
-    roots, _, axes = _tables(spec.n, spec.N)
-    return GridFunction._wrap(spec, roots[_exponent(_check_vec(q, spec.n, "q"), spec.N, axes)]
-                              * f.values)
+    return GridFunction._wrap(spec, _operator("U", _check_vec(q, spec.n, "q"), spec) * f.values)
 
 
 def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
@@ -293,19 +296,18 @@ def rep(g: LatticeElement, spec: GridSpec) -> Callable[[GridFunction], GridFunct
     """The operator T_p o U_q o C_alpha with alpha = exp(2 pi i s / N), where
     (p, q, s) = (g.k, g.l, g.m).
 
-    Matrix-free: the scalar, the phases and the gathers are fixed here, and the
-    returned function applies them in turn to a function on `spec`.
+    Matrix-free: the scalar, the phases and the source index are fixed here,
+    and the returned function applies them in turn to a function on `spec`.
     """
     if g.n != spec.n:
         raise DimensionError(f"triple has dimension {g.n}, grid has {spec.n}")
-    gathers, exponent, central = _monomial(g.k, g.l, g.m, spec)
-    roots = _tables(spec.n, spec.N)[0]
-    alpha, phases = complex(roots[central]), roots[exponent]
+    index, phases = _operator("T", g.k, spec), _operator("U", g.l, spec)
+    alpha = complex(_tables(spec.n, spec.N)[0][g.m % spec.N])
 
     def operator(f: GridFunction) -> GridFunction:
         if f.spec is not spec and f.spec != spec:
             raise DimensionError("grid functions live on different grids")
-        return GridFunction._wrap(spec, _shift(phases * (alpha * f.values), gathers))
+        return GridFunction._wrap(spec, (phases * (alpha * f.values)).take(index))
 
     return operator
 
@@ -372,13 +374,13 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
     """
     nv = finite_vector(_n_vector(nu, f.spec.n, "nu"), float)
     uv = finite_vector(_n_vector(u, f.spec.n, "u"), float)
+    margin = max(1, math.ceil(float(np.max(np.abs(nv)))))
+    if 2 * margin >= f.spec.N:
+        raise ParameterError("grid too small for the seam-exclusion margin")
     d_of_m = _difference(nv, _coordinate(uv, f))
     m_of_d = _coordinate(uv, _difference(nv, f))
     expected = float(np.dot(nv, uv)) * f.values
     defect = np.abs(d_of_m.values - m_of_d.values - expected)
-    margin = max(1, math.ceil(float(np.max(np.abs(nv)))))
-    if 2 * margin >= f.spec.N:
-        raise ParameterError("grid too small for the seam-exclusion margin")
     interior = tuple(slice(margin, f.spec.N - margin) for _ in range(f.spec.n))
     return float(np.max(defect[interior]))
 

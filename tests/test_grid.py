@@ -396,11 +396,9 @@ class TestMonomialKernel:
     @pytest.mark.parametrize("n,N", SIZES)
     def test_integer_data_is_the_index_formula(self, n, N):
         spec = grid.GridSpec(n, N)
-        points = np.arange(N**n).reshape(spec.shape)
         triples = self.triples(n, N)
         for p, q, s in triples:
-            move, exponent, central = grid._monomial(p, q, s, spec)
-            self.assert_formula(spec, grid._move(points, move), exponent, central, p, q, s)
+            self.assert_formula(spec, *grid._monomial(p, q, s, spec), p, q, s)
         move, exponent, central = grid._monomial(*self.stack(triples, n), spec)
         for b, (p, q, s) in enumerate(triples):
             # a stack's source indexes the flattened stack: trial b starts at b N^n
@@ -436,6 +434,106 @@ class TestMonomialKernel:
             assert grid._is_identity(grid._monomial(p, q, s, spec), spec).tolist() == [want]
 
 
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty operator cache for one test; the module's own is restored after it."""
+    monkeypatch.setattr(grid, "_operators", {})
+    monkeypatch.setattr(grid, "_operator_bytes", 0)
+    return grid._operators
+
+
+class TestOperatorCache:
+    """The scalar operators' cache of U_q's phases and T_p's source index: bounded
+    in bytes, keyed by residues, frozen, and invisible in every output byte."""
+
+    def test_holds_at_most_its_bound(self, cold_cache):
+        # every vector at n = 2, N = 32: 1024 phases of 16 KiB and indices of 8 KiB
+        spec = grid.GridSpec(2, 32)
+        f = random_f(spec)
+        vs = list(np.ndindex(spec.shape))
+        for v in vs:
+            grid.apply_U(v, f)
+            grid.apply_T(v, f)
+        held = sum(arr.nbytes for arr in cold_cache.values())
+        assert held == grid._operator_bytes <= grid._CACHE_BYTES
+        assert held > grid._CACHE_BYTES - 16 * 32**2
+        # the oldest entries went first
+        assert (2, 32, "T", vs[-1]) in cold_cache and (2, 32, "U", vs[-1]) in cold_cache
+        assert (2, 32, "U", vs[0]) not in cold_cache
+
+    def test_array_over_the_bound_is_not_cached(self, cold_cache):
+        small = random_f(spec1(8))
+        grid.apply_U((3,), small)
+        grid.apply_T((3,), small)
+        before = dict(cold_cache)
+        N = 2**20
+        f = grid.GridFunction(spec1(N), np.arange(N))
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        assert np.array_equal(grid.apply_U((1,), f).values, roots * f.values)
+        assert np.array_equal(grid.apply_T((1,), f).values, np.roll(f.values, 1))
+        assert list(cold_cache) == list(before)
+        assert all(cold_cache[key] is arr for key, arr in before.items())
+        assert grid._operator_bytes == sum(arr.nbytes for arr in before.values())
+
+    def test_residues_share_one_entry(self, cold_cache):
+        n, N = 2, 7
+        spec = grid.GridSpec(n, N)
+        f = random_f(spec)
+        v = (3, -2)
+        same = [v, (v[0] + N, v[1]), (v[0], v[1] + N), (v[0] - N, v[1] - N)]
+        for apply in (grid.apply_U, grid.apply_T):
+            outs = [apply(w, f).values for w in same]
+            assert all(np.array_equal(out, outs[0]) for out in outs)
+        assert sorted(cold_cache) == [(n, N, "T", (3, 5)), (n, N, "U", (3, 5))]
+
+    @pytest.mark.parametrize("n,N", [(1, 8), (2, 5), (3, 4)])
+    def test_modulation_bytes_cold_and_cached(self, cold_cache, n, N):
+        spec = grid.GridSpec(n, N)
+        f = random_f(spec, seed=N)
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        j = np.indices(spec.shape)
+        by_residue = {tuple(a % N for a in q): q for _, q in vectors(n, N, seed=n)}
+        for residues, q in by_residue.items():
+            want = roots[sum(q[a] * j[a] for a in range(n)) % N] * f.values
+            assert (n, N, "U", residues) not in cold_cache
+            assert np.array_equal(grid.apply_U(q, f).values, want)  # cold
+            assert (n, N, "U", residues) in cold_cache
+            assert np.array_equal(grid.apply_U(q, f).values, want)  # cached
+
+    @pytest.mark.parametrize("n,N", [(1, 8), (2, 5), (3, 4)])
+    def test_rep_bytes_are_the_monomial_index_formula(self, cold_cache, n, N):
+        spec = grid.GridSpec(n, N)
+        f = random_f(spec, seed=n * N)
+        roots = np.exp(2j * np.pi * np.arange(N) / N)
+        j = np.indices(spec.shape)
+        for p, q, s in TestMonomialKernel.triples(n, N):
+            g = grid.QuantizedTriple(p, q, s)
+            cold = grid.rep(g, spec)(f).values  # the first triple's data is not cached yet
+            cached = grid.rep(g, spec)(f).values
+            source, exponent, central = grid._monomial(p, q, s, spec)
+            want = (roots[exponent] * (roots[central] * f.values)).ravel()[source]
+            moved = tuple((j[a] - p[a]) % N for a in range(n))
+            phases = roots[sum(q[a] * j[a] for a in range(n)) % N]
+            assert np.array_equal(want, (phases * (roots[s % N] * f.values))[moved])
+            assert np.array_equal(cold, want) and np.array_equal(cached, want), (p, q, s)
+
+    def test_cached_arrays_are_frozen_and_never_handed_out(self, cold_cache):
+        spec = grid.GridSpec(2, 4)
+        f = random_f(spec)
+        g = grid.QuantizedTriple((1, 2), (3, 1), 2)
+        outs = [grid.apply_T((1, 2), f), grid.apply_U((3, 1), f), grid.rep(g, spec)(f),
+                grid.apply_T((0, 0), f), grid.apply_U((0, 0), f),
+                grid.rep(grid.QuantizedTriple((0, 0), (0, 0), 0), spec)(f)]
+        assert len(cold_cache) == 4
+        for arr in cold_cache.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0
+        for out in outs:
+            for arr in [f.values, *cold_cache.values()]:
+                assert not np.shares_memory(out.values, arr)
+
+
 class TestCommutator:
     def sine(self, N, L=1.0):
         s = spec1(N, L)
@@ -459,6 +557,19 @@ class TestCommutator:
         f = grid.GridFunction(s, np.sin(2 * np.pi * w0) * np.cos(2 * np.pi * w1))
         d = grid.commutator_defect((1.0, -0.5), (0.3, 2.0), f)
         assert d <= 0.05  # O(h^2) at N=64
+
+    @pytest.mark.parametrize("nu,N", [((1.0,), 2), ((3.0,), 6), ((-2.5,), 6)])
+    def test_too_small_grid_raises_before_any_work(self, monkeypatch, nu, N):
+        def no_work(*args):
+            raise AssertionError("differenced a grid the margin refuses")
+        monkeypatch.setattr(grid, "_difference", no_work)
+        monkeypatch.setattr(grid, "_coordinate", no_work)
+        with pytest.raises(ParameterError, match="seam-exclusion margin"):
+            grid.commutator_defect(nu, (1.0,), self.sine(N))
+
+    def test_margin_edge_is_admitted(self):
+        # margin 3 leaves one interior point at N = 7
+        assert grid.commutator_defect((3.0,), (0.0,), self.sine(7)) == 0.0
 
     def test_derivative_accuracy(self):
         f = self.sine(64)
