@@ -8,21 +8,24 @@ the same numpy build and CPU features: numpy may fuse a complex product's
 multiply and add where the CPU can, which moves the last digits of the
 printed deviations.
 
+rep-check and siegel-check run their trials in blocks of BLOCK_VALUES values,
+or of one trial if it holds more: N^n grid points per rep-check trial, 6n + 4
+uniform draws per siegel-check trial.  So memory does not grow with the
+trial count.  numpy may round a complex element differently by its position
+in an array, so the last digits of a report over several blocks depend on
+the block size.
+
 rep-check draws each trial with one `integers` call (p, q, s, p', q', s')
 and one `standard_normal` call (f's real, then imaginary parts): the numbers
 one call per component gives, since PCG64 keeps its spare 32-bit word in the
-bit generator.  It writes the draws into block arrays of at most
-REP_BLOCK_POINTS grid points (one trial if a grid is larger) and runs each
-block through `grid._monomial` as stacks: both orientations of the Weyl
-relation, the homomorphism and the inverse, each operator computed once per
-block.  Each product is the one the scalar operators form, so each trial's
-deviations keep their bytes.  The kernel check reads the operators' integer
-data, O(N^n + N), and memory stays bounded by the block.
+bit generator.  It runs each block through `grid._monomial` as stacks, each
+operator computed once: both orientations of the Weyl relation, the
+homomorphism and the inverse, each product the one the scalar operators
+form.  The kernel check reads the operators' integer data, O(N^n + N).
 
-siegel-check draws SIEGEL_BLOCK trials at a time with one `uniform` call,
-the same doubles in the same order as drawing each trial alone, and runs the
-`siegel` kernels, the formulas of the scalar API, on one array per
-coordinate.  Memory stays bounded by the block, whatever the trial count.
+siegel-check draws each block with one `uniform` call, the same doubles in
+the same order as drawing each trial alone, and runs the `siegel` kernels,
+the formulas of the scalar API, on one array per coordinate.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ from . import core, grid, lattice, siegel
 from .errors import ParameterError, dimension
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
+BLOCK_VALUES = 2**16             # values per block of trials, or one trial if it holds more
 REP_TOL = 1e-12                  # rep-check: max deviation of every property
-REP_BLOCK_POINTS = 2**16         # rep-check: grid points drawn and run as arrays at once
 COMMUTATOR_RATIO = (3.5, 4.5)    # commutator: admissible defect ratio at N vs 2N
 SIEGEL_BOUND = 10.0              # siegel-check: samples are drawn from [-bound, bound]
 SIEGEL_TOL = 1e-10               # siegel-check: max deviation of every property
-SIEGEL_BLOCK = 4096              # siegel-check: trials drawn and run as arrays at once
 
 
 def _fmt(v: float) -> str:
@@ -83,16 +85,12 @@ def relation_check(n: int) -> Tuple[str, bool]:
 
 
 def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
-    """The trials' draws, REP_BLOCK_POINTS grid points at a time (at least one
-    trial): an int array of shape (B, 4n + 2) holding each trial's p, q, s,
-    p', q', s', and the complex samples f, of shape (B,) + the grid shape.
-
-    Each trial draws its integers with one `integers` call and f with one
-    `standard_normal` call (real parts, then imaginary parts), written into
-    arrays reused by every block.
+    """The trials' draws, one block at a time: an int array of shape (B, 4n + 2)
+    holding each trial's p, q, s, p', q', s', and the complex samples f, of
+    shape (B,) + the grid shape, written into arrays that every block reuses.
     """
     n, N = spec.n, spec.N
-    block = min(trials, max(1, REP_BLOCK_POINTS // N**n))
+    block = min(trials, max(1, BLOCK_VALUES // N**n))
     ints = np.empty((block, 4 * n + 2), dtype=np.int64)
     parts = np.empty((block, 2) + spec.shape)
     for start in range(0, trials, block):
@@ -193,7 +191,8 @@ def commutator_check(N: int, L: float) -> Tuple[str, bool]:
     for res in (N, 2 * N):
         spec = grid.GridSpec(1, res, L)
         w = np.arange(res) * spec.h
-        f = grid.GridFunction(spec, np.sin(2.0 * np.pi * w / L))
+        with np.errstate(all="ignore"):  # 2 pi w overflows near the float maximum: refused here
+            f = grid.GridFunction(spec, np.sin(2.0 * np.pi * w / L))
         defects.append(grid.commutator_defect((1.0,), (1.0,), f))
     ratio = defects[0] / defects[1]
     lines = [
@@ -206,15 +205,20 @@ def commutator_check(N: int, L: float) -> Tuple[str, bool]:
 
 
 def _siegel_blocks(rng: np.random.Generator, n: int, trials: int):
-    """The trials' samples, SIEGEL_BLOCK at a time, as components for the
+    """The trials' samples, one block at a time, as components for the
     `siegel` kernels: (z, t, z2, t2, w, sigma), one array per coordinate.
 
     Each trial takes 6n + 4 consecutive uniform draws: z (re, im interleaved),
     t, z2, t2, w, then sigma's real and imaginary parts.
     """
-    bound = SIEGEL_BOUND
-    for start in range(0, trials, SIEGEL_BLOCK):
-        draws = rng.uniform(-bound, bound, size=(min(SIEGEL_BLOCK, trials - start), 6 * n + 4))
+    width = 6 * n + 4
+    block = min(trials, max(1, BLOCK_VALUES // width))
+    # numpy refuses with a ValueError an array of more bytes than an index can count
+    if block * width > np.iinfo(np.intp).max // 8:
+        raise ParameterError(f"siegel-check blocks of {block} x {width} samples exceed the "
+                             f"largest array")
+    for start in range(0, trials, block):
+        draws = rng.uniform(-SIEGEL_BOUND, SIEGEL_BOUND, size=(min(block, trials - start), width))
         z, z2, w = (tuple(draws[:, k:k + 2 * n].copy().view(np.complex128).T)
                     for k in (0, 2 * n + 1, 4 * n + 2))
         sigma = draws[:, 6 * n + 2:].copy().view(np.complex128)[:, 0]
@@ -229,11 +233,6 @@ def _top(*parts):
 def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
     """Height invariance, action composition, and dilation equivariance."""
     n, trials, seed = _check_run(n, trials, seed)
-    # numpy refuses with a ValueError an array of more bytes than an index can count
-    block, width = min(trials, SIEGEL_BLOCK), 6 * n + 4
-    if block * width > np.iinfo(np.intp).max // 8:
-        raise ParameterError(f"siegel-check blocks of {block} x {width} samples exceed the "
-                             f"largest array")
     rng = np.random.default_rng(seed)
     lines = [f"siegel-check: n={n} trials={trials} seed={seed} bound={SIEGEL_BOUND:.17g}"]
 

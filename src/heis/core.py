@@ -137,13 +137,10 @@ def _frac_split(v: float) -> Tuple[int, float]:
     """Write v = -k + f with f in [0, 1); returns (k, f)."""
     k = -math.floor(v)
     f = v + k
-    # floor can leave f == 1.0 for v just below an integer
+    # v + k is exactly >= 0 and rounds to >= 0, but to 1.0 for v just below an integer
     if f >= 1.0:
         k -= 1
         f -= 1.0
-    if f < 0.0:
-        k += 1
-        f += 1.0
     return k, f
 
 

@@ -155,27 +155,25 @@ def _check_vec(v: Sequence, n: int, name: str) -> Tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=16)
-def _tables(n: int, N: int) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
-    """The tables of the grid (n, N), 3 N numbers built once: roots[k] =
-    exp(2 pi i k / N) for k < N, cyclic[k] = k mod N for k < 2 N, and axes[a],
-    a view of 0..N-1 along axis a that broadcasts against the grid shape."""
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    cyclic = np.arange(2 * N) % N
+def _tables(n: int, N: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """The tables of the grid (n, N), 2 N numbers built once: roots[k] =
+    exp(2 pi i k / N) for k < N, and axes[a], a view of 0..N-1 along axis a
+    that broadcasts against the grid shape."""
+    roots, points = np.exp(2j * np.pi * np.arange(N) / N), np.arange(N)
     # shared by every caller: frozen so that no caller can corrupt the cache
     roots.setflags(write=False)
-    cyclic.setflags(write=False)
-    axes = tuple(cyclic[:N].reshape((N,) + (1,) * (n - 1 - a)) for a in range(n))
-    return roots, cyclic, axes
+    points.setflags(write=False)
+    return roots, tuple(points.reshape((N,) + (1,) * (n - 1 - a)) for a in range(n))
 
 
-def _source(p: Tuple, N: int, cyclic: np.ndarray, axes: tuple) -> np.ndarray:
+def _source(p: Tuple, N: int, axes: tuple) -> np.ndarray:
     """T_p's source index: at each point j, the flat index of (j - p) mod N.  For
     a stack of B shifts, each p_a an int array of shape (B,) + (1,) * n, it is
     the flat index of (b, (j - p) mod N) in the flattened stack of trial b.
     One gather then moves one function or the whole stack."""
     source = np.arange(np.size(p[0])).reshape(np.shape(p[0]))
     for axis, shift in zip(axes, p):
-        source = source * N + cyclic[(N - shift % N) + axis]
+        source = source * N + (axis - shift) % N
     return source
 
 
@@ -209,8 +207,8 @@ def _operator(kind: str, v: Tuple[int, ...], spec: GridSpec) -> np.ndarray:
     key = (n, N, kind, v)
     arr = _operators.get(key)
     if arr is None:
-        roots, cyclic, axes = _tables(n, N)
-        arr = _source(v, N, cyclic, axes) if kind == "T" else roots[_exponent(v, N, axes)]
+        roots, axes = _tables(n, N)
+        arr = _source(v, N, axes) if kind == "T" else roots[_exponent(v, N, axes)]
         arr.setflags(write=False)
         with _operator_lock:
             if arr.nbytes <= _CACHE_BYTES and key not in _operators:
@@ -232,8 +230,8 @@ def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
     the central exponent is s mod N, each in its own broadcast shape.
     """
     N = spec.N
-    _, cyclic, axes = _tables(spec.n, N)
-    move = _operator("T", p, spec) if isinstance(p[0], int) else _source(p, N, cyclic, axes)
+    axes = _tables(spec.n, N)[1]
+    move = _operator("T", p, spec) if isinstance(p[0], int) else _source(p, N, axes)
     return move, _exponent(q, N, axes), s % N
 
 
@@ -360,7 +358,7 @@ def coordinate_multiply(u: Sequence[float], f: GridFunction) -> GridFunction:
 
 def _coordinate(uv: Tuple[float, ...], f: GridFunction) -> GridFunction:
     spec = f.spec
-    axes = _tables(spec.n, spec.N)[2]
+    axes = _tables(spec.n, spec.N)[1]
     mu = sum((ua * axis * spec.h for ua, axis in zip(uv, axes)), np.zeros(spec.shape))
     return GridFunction._wrap(spec, mu * f.values)
 
@@ -370,19 +368,24 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
 
     The coordinate functional is not periodic, so points whose difference
     stencil crosses the wrap seam are excluded (a margin of
-    max(1, ceil(max |nu_a|)) samples on each side of every axis).
+    max(1, ceil(max |nu_a|)) samples on each side of every axis).  Raises
+    ParameterError when the defect overflows the float range.
     """
     nv = finite_vector(_n_vector(nu, f.spec.n, "nu"), float)
     uv = finite_vector(_n_vector(u, f.spec.n, "u"), float)
     margin = max(1, math.ceil(float(np.max(np.abs(nv)))))
     if 2 * margin >= f.spec.N:
         raise ParameterError("grid too small for the seam-exclusion margin")
-    d_of_m = _difference(nv, _coordinate(uv, f))
-    m_of_d = _coordinate(uv, _difference(nv, f))
-    expected = float(np.dot(nv, uv)) * f.values
-    defect = np.abs(d_of_m.values - m_of_d.values - expected)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        d_of_m = _difference(nv, _coordinate(uv, f))
+        m_of_d = _coordinate(uv, _difference(nv, f))
+        expected = float(np.dot(nv, uv)) * f.values
+        defect = np.abs(d_of_m.values - m_of_d.values - expected)
     interior = tuple(slice(margin, f.spec.N - margin) for _ in range(f.spec.n))
-    return float(np.max(defect[interior]))
+    worst = float(np.max(defect[interior]))
+    if not math.isfinite(worst):
+        raise ParameterError("commutator overflows the float range")
+    return worst
 
 
 # --- text serialization -----------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,17 +129,47 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
 
-    @pytest.mark.parametrize("argv, block, width", [
-        (("--n", str(10**15), "--trials", "4096"), 4096, 6 * 10**15 + 4),
-        (("--n", str(10**19)), 100, 6 * 10**19 + 4),
-    ])
-    def test_siegel_check_block_too_large_for_an_array(self, capsys, argv, block, width):
+    # the first n whose one trial, 6n + 4 doubles, is more bytes than an index counts
+    WIDEST_N = (np.iinfo(np.intp).max // 8 - 4) // 6 + 1
+
+    @pytest.mark.parametrize("n, trials", [(10**19, "100"), (10**19, "4096"), (WIDEST_N, "1")])
+    def test_siegel_check_block_too_large_for_an_array(self, capsys, n, trials):
         """numpy raises ValueError, not MemoryError, for an array of more bytes than
-        an index counts; the check refuses such a block first and names its size."""
-        code, out, err = run(capsys, "siegel-check", *argv)
+        an index counts; the check refuses such a block first and names its size.
+        A block holds one trial once a trial is wider than BLOCK_VALUES draws."""
+        code, out, err = run(capsys, "siegel-check", "--n", str(n), "--trials", trials)
         assert (code, out) == (3, "")
-        assert err == (f"error: siegel-check blocks of {block} x {width} samples exceed "
+        assert err == (f"error: siegel-check blocks of 1 x {6 * n + 4} samples exceed "
                        f"the largest array\n")
+
+    @pytest.mark.parametrize("n", [10**15, WIDEST_N - 1])
+    def test_siegel_check_block_below_the_array_guard(self, capsys, n):
+        """Just below the guard, and at 4096 trials of n = 10^15 (once a block of
+        4096 x (6n + 4)), a one-trial block is an array numpy can index, and its
+        allocation fails at once."""
+        code, out, err = run(capsys, "siegel-check", "--n", str(n), "--trials", "4096")
+        assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
+
+    @pytest.mark.parametrize("argv, sample, error", [
+        (("--L", "1e-320"), None, "commutator overflows the float range"),  # 1 / (2 h)
+        (("--L", "5e-324"), None, "commutator overflows the float range"),  # h rounds to 0
+        (("--L", "1e308"), None, "grid samples must be finite"),  # 2 pi w overflows
+        (("--in",), (1e-320, [np.sin(j / 5.0) for j in range(32)]),
+         "commutator overflows the float range"),
+        (("--in",), (1e308, [(-1) ** j * 1e300 for j in range(32)]),  # mu f overflows
+         "commutator overflows the float range"),
+    ])
+    def test_commutator_overflow(self, capsys, tmp_path, argv, sample, error):
+        """One line and exit 3, with no numpy warning."""
+        if sample is not None:
+            L, values = sample
+            argv = ("--in", str(tmp_path / "f.txt"))
+            with open(argv[1], "w") as fh:
+                grid.write_grid_function(grid.GridFunction(grid.GridSpec(1, 32, L), values), fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "commutator", *argv)
+        assert (code, out, err) == (3, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("n", ["3000", "4000"])
     def test_rep_check_huge_dimension(self, capsys, n):

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis import core
@@ -144,6 +144,18 @@ class TestCosetReduce:
         # finite input, but t + x . l = 1e200 * -1e200 is -inf
         with pytest.raises(ParameterError, match="overflow"):
             core.coset_reduce(elem(1e200, 1e200, 0.0))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-5e-324)
+    @example(-1e-20)  # v + 1 rounds to 1.0
+    @example(-(2**53 - 0.5))
+    @example(1e300)
+    @example(-1e300)
+    @settings(max_examples=1000)
+    def test_frac_split_is_in_the_unit_interval(self, v):
+        k, f = core._frac_split(v)
+        assert type(k) is int and 0.0 <= f < 1.0
+        assert -k in (math.floor(v), math.floor(v) + 1)
 
     def test_translator_unique_in_window(self):
         # no two distinct small integer translators both land g in the cube

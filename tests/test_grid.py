@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -566,6 +567,18 @@ class TestCommutator:
         monkeypatch.setattr(grid, "_coordinate", no_work)
         with pytest.raises(ParameterError, match="seam-exclusion margin"):
             grid.commutator_defect(nu, (1.0,), self.sine(N))
+
+    @pytest.mark.parametrize("L, values", [
+        (1e-320, np.sin(np.arange(32) / 5.0)),      # 1 / (2 h) overflows
+        (5e-324, np.sin(np.arange(32) / 5.0)),      # h = L / N rounds to 0
+        (1e308, 1e300 * (-1.0) ** np.arange(32)),   # mu f overflows
+    ])
+    def test_overflow_is_a_parameter_error(self, L, values):
+        f = grid.GridFunction(spec1(32, L), values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings stay inside
+            with pytest.raises(ParameterError, match="commutator overflows the float range"):
+                grid.commutator_defect((1.0,), (1.0,), f)
 
     def test_margin_edge_is_admitted(self):
         # margin 3 leaves one interior point at N = 7

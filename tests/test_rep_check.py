@@ -73,8 +73,8 @@ def test_every_trial_is_the_per_component_stream(n, N, monkeypatch):
     monkeypatch.setattr(grid, "_monomial", spy_monomial)
     monkeypatch.setattr(grid, "_apply", spy_apply)
     trials = 5
-    for points in (checks.REP_BLOCK_POINTS, 2 * N**n):  # one block, then blocks of 2 trials
-        monkeypatch.setattr(checks, "REP_BLOCK_POINTS", points)
+    for points in (checks.BLOCK_VALUES, 2 * N**n):  # one block, then blocks of 2 trials
+        monkeypatch.setattr(checks, "BLOCK_VALUES", points)
         block = max(1, points // N**n)
         for seed in SEEDS:
             stacks.clear()

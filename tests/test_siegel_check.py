@@ -47,7 +47,7 @@ def test_header_and_first_sample_are_the_per_trial_stream(n, seed):
 def test_every_block_is_the_per_trial_stream(n, monkeypatch):
     """Across block boundaries, trial k's components are the ones the k-th
     per-trial draw gives."""
-    monkeypatch.setattr(checks, "SIEGEL_BLOCK", 3)
+    monkeypatch.setattr(checks, "BLOCK_VALUES", 3 * (6 * n + 4))  # three trials a block
     trials = 8
     for seed in SEEDS:
         blocks = list(checks._siegel_blocks(np.random.default_rng(seed), n, trials))
@@ -63,10 +63,36 @@ def test_every_block_is_the_per_trial_stream(n, monkeypatch):
 
 
 def test_trials_past_one_block():
-    trials = checks.SIEGEL_BLOCK + 1
+    trials = checks.BLOCK_VALUES // (6 * 1 + 4) + 1
     text, ok = checks.siegel_check(1, trials, 3)
     assert ok and text.startswith(f"siegel-check: n=1 trials={trials} seed=3 ")
     assert "composition-identity failures: 0\n" in text
+
+
+@pytest.mark.parametrize("n, trials, block", [(1, 20000, 6553), (2, 9000, 4096),
+                                               (3, 7000, 2978), (50, 1000, 215),
+                                               (200, 150, 54), (11000, 3, 1)])
+def test_each_uniform_call_draws_at_most_one_block(n, trials, block, monkeypatch):
+    """A block holds BLOCK_VALUES draws or fewer, unless one trial is wider
+    (n = 11000 takes 66004 draws a trial): memory does not grow with n."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class Spied:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def uniform(self, low, high, size):
+            draws.append(size)
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Spied)
+    checks.siegel_check(n, trials, 1)
+    width = 6 * n + 4
+    assert {cols for _, cols in draws} == {width}
+    assert [rows for rows, _ in draws] == [block] * (trials // block) + [trials % block] * (
+        trials % block > 0)
+    assert all(rows * width <= max(checks.BLOCK_VALUES, width) for rows, _ in draws)
 
 
 def _report_value(text, label):
