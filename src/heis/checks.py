@@ -191,7 +191,7 @@ def commutator_check(N: int, L: float) -> Tuple[str, bool]:
     for res in (N, 2 * N):
         spec = grid.GridSpec(1, res, L)
         w = np.arange(res) * spec.h
-        with np.errstate(all="ignore"):  # 2 pi w overflows near the float maximum: refused here
+        with np.errstate(all="ignore"):  # 2 pi w can overflow; GridFunction refuses it
             f = grid.GridFunction(spec, np.sin(2.0 * np.pi * w / L))
         defects.append(grid.commutator_defect((1.0,), (1.0,), f))
     ratio = defects[0] / defects[1]

@@ -132,7 +132,8 @@ class TestExitCodes:
     # the first n whose one trial, 6n + 4 doubles, is more bytes than an index counts
     WIDEST_N = (np.iinfo(np.intp).max // 8 - 4) // 6 + 1
 
-    @pytest.mark.parametrize("n, trials", [(10**19, "100"), (10**19, "4096"), (WIDEST_N, "1")])
+    @pytest.mark.parametrize("n, trials", [(10**19, "100"), (10**19, "4096"), (WIDEST_N, "1")],
+                             ids=["n1e19-trials100", "n1e19-trials4096", "first-n-over"])
     def test_siegel_check_block_too_large_for_an_array(self, capsys, n, trials):
         """numpy raises ValueError, not MemoryError, for an array of more bytes than
         an index counts; the check refuses such a block first and names its size.
@@ -142,7 +143,7 @@ class TestExitCodes:
         assert err == (f"error: siegel-check blocks of 1 x {6 * n + 4} samples exceed "
                        f"the largest array\n")
 
-    @pytest.mark.parametrize("n", [10**15, WIDEST_N - 1])
+    @pytest.mark.parametrize("n", [10**15, WIDEST_N - 1], ids=["n1e15", "last-n-under"])
     def test_siegel_check_block_below_the_array_guard(self, capsys, n):
         """Just below the guard, and at 4096 trials of n = 10^15 (once a block of
         4096 x (6n + 4)), a one-trial block is an array numpy can index, and its
@@ -150,26 +151,29 @@ class TestExitCodes:
         code, out, err = run(capsys, "siegel-check", "--n", str(n), "--trials", "4096")
         assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
 
-    @pytest.mark.parametrize("argv, sample, error", [
-        (("--L", "1e-320"), None, "commutator overflows the float range"),  # 1 / (2 h)
-        (("--L", "5e-324"), None, "commutator overflows the float range"),  # h rounds to 0
-        (("--L", "1e308"), None, "grid samples must be finite"),  # 2 pi w overflows
-        (("--in",), (1e-320, [np.sin(j / 5.0) for j in range(32)]),
-         "commutator overflows the float range"),
-        (("--in",), (1e308, [(-1) ** j * 1e300 for j in range(32)]),  # mu f overflows
-         "commutator overflows the float range"),
+    @pytest.mark.parametrize("L, error", [
+        ("1e-320", "commutator overflows the float range"),  # 1 / (2 h) overflows
+        ("5e-324", "commutator overflows the float range"),  # h = L / N rounds to 0
+        ("1e308", "grid samples must be finite"),            # 2 pi w overflows
     ])
-    def test_commutator_overflow(self, capsys, tmp_path, argv, sample, error):
-        """One line and exit 3, with no numpy warning."""
-        if sample is not None:
-            L, values = sample
-            argv = ("--in", str(tmp_path / "f.txt"))
-            with open(argv[1], "w") as fh:
-                grid.write_grid_function(grid.GridFunction(grid.GridSpec(1, 32, L), values), fh)
+    def test_commutator_overflow(self, capsys, L, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one line on stderr, no numpy warning
+            code, out, err = run(capsys, "commutator", "--L", L)
+        assert (code, out, err) == (3, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("L, values", [
+        (1e-320, np.sin(np.arange(32) / 5.0)),     # 1 / (2 h) overflows
+        (1e308, 1e300 * (-1.0) ** np.arange(32)),  # mu f overflows
+    ])
+    def test_commutator_in_file_overflow(self, capsys, tmp_path, L, values):
+        src = tmp_path / "f.txt"
+        with open(src, "w") as fh:
+            grid.write_grid_function(grid.GridFunction(grid.GridSpec(1, 32, L), values), fh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "commutator", *argv)
-        assert (code, out, err) == (3, "", f"error: {error}\n")
+            code, out, err = run(capsys, "commutator", "--in", str(src))
+        assert (code, out, err) == (3, "", "error: commutator overflows the float range\n")
 
     @pytest.mark.parametrize("n", ["3000", "4000"])
     def test_rep_check_huge_dimension(self, capsys, n):

@@ -90,8 +90,8 @@ def test_each_uniform_call_draws_at_most_one_block(n, trials, block, monkeypatch
     checks.siegel_check(n, trials, 1)
     width = 6 * n + 4
     assert {cols for _, cols in draws} == {width}
-    assert [rows for rows, _ in draws] == [block] * (trials // block) + [trials % block] * (
-        trials % block > 0)
+    last = [trials % block] if trials % block else []
+    assert [rows for rows, _ in draws] == [block] * (trials // block) + last
     assert all(rows * width <= max(checks.BLOCK_VALUES, width) for rows, _ in draws)
 
 
