@@ -15,13 +15,18 @@ trial count.  numpy may round a complex element differently by its position
 in an array, so the last digits of a report over several blocks depend on
 the block size.
 
-rep-check draws each trial with one `integers` call (p, q, s, p', q', s')
-and one `standard_normal` call (f's real, then imaginary parts): the numbers
-one call per component gives, since PCG64 keeps its spare 32-bit word in the
-bit generator.  It runs each block through `grid._monomial` as stacks, each
-operator computed once: both orientations of the Weyl relation, the
-homomorphism and the inverse, each product the one the scalar operators
-form.  The kernel check reads the operators' integer data, O(N^n + N).
+rep-check draws each block with one call per kind: one `integers` call for
+every trial's p, q, s, p', q', s', then one `standard_normal` call for every
+trial's f (real, then imaginary parts).  These are the numbers one call per
+component gives in that order, since PCG64 keeps its spare 32-bit word in
+the bit generator.  So the samples depend on the block size: a block of one
+trial (N^n > BLOCK_VALUES / 2) draws as trial-by-trial calls do, and the
+first trial's integers are the first draws at every size.  Replaying trial
+K means redrawing every block up to the one that holds K.  rep-check runs
+each block through `grid._monomial` as stacks, each operator computed once:
+both orientations of the Weyl relation, the homomorphism and the inverse,
+each product the one the scalar operators form.  The kernel check reads the
+operators' integer data, O(N^n + N).
 
 siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
@@ -85,20 +90,17 @@ def relation_check(n: int) -> Tuple[str, bool]:
 
 
 def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
-    """The trials' draws, one block at a time: an int array of shape (B, 4n + 2)
-    holding each trial's p, q, s, p', q', s', and the complex samples f, of
-    shape (B,) + the grid shape, written into arrays that every block reuses.
+    """The trials' draws, one block at a time, each with one call per kind: an
+    int array of shape (B, 4n + 2) holding each trial's p, q, s, p', q', s',
+    then the complex samples f, of shape (B,) + the grid shape.
     """
     n, N = spec.n, spec.N
     block = min(trials, max(1, BLOCK_VALUES // N**n))
-    ints = np.empty((block, 4 * n + 2), dtype=np.int64)
-    parts = np.empty((block, 2) + spec.shape)
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        for b in range(size):
-            ints[b] = rng.integers(0, N, size=4 * n + 2)
-            rng.standard_normal(out=parts[b])
-        yield ints[:size], parts[:size, 0] + 1j * parts[:size, 1]
+        ints = rng.integers(0, N, size=(size, 4 * n + 2))
+        parts = rng.standard_normal((size, 2) + spec.shape)
+        yield ints, parts[:, 0] + 1j * parts[:, 1]
 
 
 def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -185,15 +187,21 @@ def commutator_check(N: int, L: float) -> Tuple[str, bool]:
 
     Measures the interior defect for f = sin(2 pi w / L), mu(w) = w, nu = 1
     at resolutions N and 2N; halving the step should shrink the defect by
-    about four.
+    about four.  A size or period that the check cannot run with is refused
+    with a message that names N or L.
     """
+    coarse = grid.GridSpec(1, N, L)
+    if 2 * coarse.N > grid.MAX_GRID_POINTS:
+        raise ParameterError(f"N = {coarse.N} is too large: the check also runs at 2N = "
+                             f"{2 * coarse.N} points, over the {grid.MAX_GRID_POINTS} guard")
     defects = []
-    for res in (N, 2 * N):
-        spec = grid.GridSpec(1, res, L)
-        w = np.arange(res) * spec.h
-        with np.errstate(all="ignore"):  # 2 pi w can overflow; GridFunction refuses it
-            f = grid.GridFunction(spec, np.sin(2.0 * np.pi * w / L))
-        defects.append(grid.commutator_defect((1.0,), (1.0,), f))
+    for spec in (coarse, grid.GridSpec(1, 2 * coarse.N, L)):
+        w = np.arange(spec.N) * spec.h
+        with np.errstate(all="ignore"):  # 2 pi w overflows once L passes about 2.9e307
+            samples = np.sin(2.0 * np.pi * w / L)
+        if not np.all(np.isfinite(samples)):
+            raise ParameterError(f"L = {spec.L} is too large: 2 pi w overflows the float range")
+        defects.append(grid.commutator_defect((1.0,), (1.0,), grid.GridFunction(spec, samples)))
     ratio = defects[0] / defects[1]
     lines = [
         f"commutator: N={N} L={L:.17g} f=sin(2*pi*w/L) mu(w)=w nu=1",

@@ -154,13 +154,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("L, error", [
         ("1e-320", "commutator overflows the float range"),  # 1 / (2 h) overflows
         ("5e-324", "commutator overflows the float range"),  # h = L / N rounds to 0
-        ("1e308", "grid samples must be finite"),            # 2 pi w overflows
+        ("1e308", "L = 1e+308 is too large: 2 pi w overflows the float range"),
     ])
     def test_commutator_overflow(self, capsys, L, error):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # one line on stderr, no numpy warning
             code, out, err = run(capsys, "commutator", "--L", L)
         assert (code, out, err) == (3, "", f"error: {error}\n")
+
+    def test_commutator_doubled_grid_names_N(self, capsys):
+        """The check also runs at 2N: an N that the guard admits, but not its
+        double, is refused by the N the user gave."""
+        code, out, err = run(capsys, "commutator", "--N", "1048576")
+        assert (code, out) == (3, "")
+        assert err == ("error: N = 1048576 is too large: the check also runs at 2N = 2097152 "
+                       "points, over the 1048576 guard\n")
 
     @pytest.mark.parametrize("L, values", [
         (1e-320, np.sin(np.arange(32) / 5.0)),     # 1 / (2 h) overflows

@@ -584,6 +584,27 @@ class TestCommutator:
         # margin 3 leaves one interior point at N = 7
         assert grid.commutator_defect((3.0,), (0.0,), self.sine(7)) == 0.0
 
+    @pytest.mark.parametrize("n,N", [(n, N) for n in (1, 2, 3) for N in (2, 3, 5, 16)])
+    def test_difference_is_the_roll_formula(self, n, N):
+        """Every weight vector, zero, negative and non-integer weights among
+        them, gives sum_a nu_a (f[j + e_a] - f[j - e_a]) / (2 h) with
+        neighbours taken by np.roll, bit for bit, in a fresh frozen array."""
+        s = grid.GridSpec(n, N, 0.7)
+        f = random_f(s, seed=n * N)
+        rng = np.random.default_rng(N)
+        weights = [(0.0,) * n, (-1.0,) * n, (2.5,) + (0.0,) * (n - 1), (0.0,) * (n - 1) + (-1 / 3,)]
+        weights += [tuple(rng.choice([0.0, -3.0, 1.0, 0.1, -2.75], n)) for _ in range(6)]
+        for nu in weights:
+            want = np.zeros(s.shape, dtype=complex)
+            for a in range(n):
+                if nu[a]:
+                    forward, backward = np.roll(f.values, -1, a), np.roll(f.values, 1, a)
+                    want = want + nu[a] * (forward - backward) / (2.0 * s.h)
+            got = grid.directional_difference(nu, f).values
+            assert np.array_equal(got, want), nu
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, f.values)
+
     def test_derivative_accuracy(self):
         f = self.sine(64)
         df = grid.directional_difference((1.0,), f)

@@ -1,12 +1,13 @@
-"""rep-check draws each trial with one call per kind and runs its trials as
-stacks through the grid's monomial kernel.
+"""rep-check draws each block of trials with one call per kind and runs its
+trials as stacks through the grid's monomial kernel.
 
-These tests pin the random stream: one `integers` call for p, q, s, p', q',
-s' and one `standard_normal` call for f give the numbers, in the order, that
-one call per component gives, and the kernel receives them block by block,
-so seeded reports keep their bytes.  They also show that the check sees a
-broken kernel, and that its kernel check finishes at the grid sizes the
-point guard admits.
+These tests pin the random stream: per block, one `integers` call for every
+trial's p, q, s, p', q', s', then one `standard_normal` call for every
+trial's f, give the numbers, in the order, that one call per component gives
+when a block's integers are all drawn before its samples.  A block of one
+trial draws as trial-by-trial calls do, and the kernel receives the draws
+block by block.  They also show that the check sees a broken kernel, and
+that its kernel check finishes at the grid sizes the point guard admits.
 """
 
 import time
@@ -20,24 +21,27 @@ SEEDS = (0, 5, 11, 271828)
 SIZES = [(n, N) for n in (1, 2, 3) for N in (2, 5, 16, 1000) if N**n <= grid.MAX_GRID_POINTS]
 
 
-def per_component_stream(n, N, trials, seed):
-    """Each trial's ((p, q, s), (p', q', s'), f samples), one call per component."""
+def block_stream(n, N, trials, block, seed):
+    """Each trial's ((p, q, s), (p', q', s'), f samples), one call per component,
+    in blocks of `block` trials: every integer of a block's trials, then every
+    sample of them.  Blocks of one trial are the trial-by-trial stream."""
     rng = np.random.default_rng(seed)
 
     def vec():
         return tuple(int(v) for v in rng.integers(0, N, size=n))
 
-    for _ in range(trials):
-        g = vec(), vec(), int(rng.integers(0, N))
-        g2 = vec(), vec(), int(rng.integers(0, N))
-        values = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
-        yield g, g2, values
+    for start in range(0, trials, block):
+        triples = [((vec(), vec(), int(rng.integers(0, N))), (vec(), vec(), int(rng.integers(0, N))))
+                   for _ in range(min(block, trials - start))]
+        for g, g2 in triples:
+            values = rng.standard_normal((N,) * n) + 1j * rng.standard_normal((N,) * n)
+            yield g, g2, values
 
 
 @pytest.mark.parametrize("n, N", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_header_and_first_sample_are_the_per_component_stream(n, N, seed):
-    (p, q, s), (p2, q2, s2), _ = next(per_component_stream(n, N, 1, seed))
+    (p, q, s), (p2, q2, s2), _ = next(block_stream(n, N, 1, 1, seed))
     text, _ = checks.rep_check(n, N, 1, seed)
     assert text.splitlines()[:2] == [
         f"rep-check: n={n} N={N} L=1 lambda=1 trials=1 seed={seed}",
@@ -52,16 +56,16 @@ def _triples(p, q, s):
              int(s.flat[b])) for b in range(len(s))]
 
 
-@pytest.mark.parametrize("n, N", [size for size in SIZES if size[1]**size[0] <= 4096])
-def test_every_trial_is_the_per_component_stream(n, N, monkeypatch):
-    """Trial k's triples and samples are the k-th per-component draws: each
-    block's g and g' reach the kernel as integer stacks and its f as a sample
-    stack, in trial order, also when the trials span several blocks."""
+@pytest.fixture
+def kernel_inputs(monkeypatch):
+    """The integer stacks that reach `grid._monomial` and the sample stacks
+    that reach `grid._apply`, in call order."""
     stacks, samples = [], []
     monomial, apply = grid._monomial, grid._apply
 
     def spy_monomial(p, q, s, spec):
         if isinstance(p[0], np.ndarray):
+            n = spec.n
             assert all(c.dtype.kind == "i" and c.shape == (len(s),) + (1,) * n for c in p + q)
             stacks.append(_triples(p, q, s))
         return monomial(p, q, s, spec)
@@ -72,24 +76,46 @@ def test_every_trial_is_the_per_component_stream(n, N, monkeypatch):
 
     monkeypatch.setattr(grid, "_monomial", spy_monomial)
     monkeypatch.setattr(grid, "_apply", spy_apply)
+    return stacks, samples
+
+
+def _assert_blocks_reach_the_kernel(kernel_inputs, n, N, trials, block, seed):
+    """Run the check; each block's g and g' reach the kernel as integer stacks
+    and its f as a sample stack, all equal to `block_stream`'s draws."""
+    stacks, samples = kernel_inputs
+    stacks.clear()
+    samples.clear()
+    checks.rep_check(n, N, trials, seed)
+    want = list(block_stream(n, N, trials, block, seed))
+    for start in range(0, trials, block):
+        trial = want[start:start + block]
+        assert [g for g, _, _ in trial] in stacks
+        assert [g2 for _, g2, _ in trial] in stacks
+        f = np.stack([values for _, _, values in trial])
+        assert any(np.array_equal(got, f) for got in samples)
+
+
+@pytest.mark.parametrize("n, N", [size for size in SIZES if size[1]**size[0] <= 4096])
+def test_every_trial_is_the_per_component_stream(n, N, kernel_inputs, monkeypatch):
+    """Trial k's triples and samples are the k-th draws of the block stream, in
+    trial order, with one trial a block, two trials a block and every trial
+    in one block."""
     trials = 5
-    for points in (checks.BLOCK_VALUES, 2 * N**n):  # one block, then blocks of 2 trials
-        monkeypatch.setattr(checks, "BLOCK_VALUES", points)
-        block = max(1, points // N**n)
+    for block in (1, 2, trials):
+        monkeypatch.setattr(checks, "BLOCK_VALUES", block * N**n)
         for seed in SEEDS:
-            stacks.clear()
-            samples.clear()
-            checks.rep_check(n, N, trials, seed)
-            want = list(per_component_stream(n, N, trials, seed))
-            for start in range(0, trials, block):
-                trial = want[start:start + block]
-                assert [g for g, _, _ in trial] in stacks
-                assert [g2 for _, g2, _ in trial] in stacks
-                f = np.stack([values for _, _, values in trial])
-                assert any(np.array_equal(got, f) for got in samples)
+            _assert_blocks_reach_the_kernel(kernel_inputs, n, N, trials, block, seed)
 
 
-def test_two_draws_per_trial(monkeypatch):
+def test_one_trial_blocks_draw_the_per_trial_stream(kernel_inputs):
+    """A grid of more than BLOCK_VALUES / 2 points runs one trial a block, whose
+    draws are the trial-by-trial stream: nothing is patched here."""
+    n, N = 1, 2**16
+    assert checks.BLOCK_VALUES // N**n == 1
+    _assert_blocks_reach_the_kernel(kernel_inputs, n, N, 3, 1, 0)
+
+
+def test_two_draws_per_block(monkeypatch):
     calls = []
     default_rng = np.random.default_rng
 
@@ -103,7 +129,11 @@ def test_two_draws_per_trial(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", Counted)
     checks.rep_check(2, 4, 7, 3)
-    assert calls == ["integers", "standard_normal"] * 7
+    assert calls == ["integers", "standard_normal"]
+    calls.clear()
+    monkeypatch.setattr(checks, "BLOCK_VALUES", 2 * 4**2)  # blocks of 2, 2, 2 and 1 trials
+    checks.rep_check(2, 4, 7, 3)
+    assert calls == ["integers", "standard_normal"] * 4
 
 
 def _report_value(text, label):

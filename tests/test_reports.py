@@ -9,10 +9,13 @@ the argv that perfbench's cli-session workload runs.
 To regenerate the files after a deliberate change of the reports:
 
     PYTHONPATH=src python tests/test_reports.py
+
+It prints each line it changes, as `file: 'old line' -> 'new line'`.
 """
 
 import contextlib
 import io
+import itertools
 import pathlib
 
 import pytest
@@ -54,4 +57,10 @@ def test_report_matches_golden(case):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
-        (GOLDEN / f"{case}.txt").write_text(report(argv)[1])
+        path = GOLDEN / f"{case}.txt"
+        old = path.read_text().splitlines() if path.exists() else []
+        text = report(argv)[1]
+        for before, after in itertools.zip_longest(old, text.splitlines(), fillvalue=""):
+            if before != after:
+                print(f"{path.name}: {before!r} -> {after!r}")
+        path.write_text(text)
