@@ -65,8 +65,8 @@ def kernel_inputs(monkeypatch):
 
     def spy_monomial(p, q, s, spec):
         if isinstance(p[0], np.ndarray):
-            n = spec.n
-            assert all(c.dtype.kind == "i" and c.shape == (len(s),) + (1,) * n for c in p + q)
+            assert all(c.dtype.kind == "i" and c.shape == (len(s),) + (1,) * spec.n
+                       for c in p + q)
             stacks.append(_triples(p, q, s))
         return monomial(p, q, s, spec)
 
