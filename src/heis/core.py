@@ -42,14 +42,11 @@ class RealElement:
     y: Tuple[float, ...]
     t: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", finite_vector(self.x, float))
-        object.__setattr__(self, "y", finite_vector(self.y, float))
-        object.__setattr__(self, "t", finite_scalar(self.t, float, "t"))
-        if len(self.x) != len(self.y):
-            raise DimensionError(
-                f"x has length {len(self.x)} but y has length {len(self.y)}"
-            )
+    def __init__(self, x: Sequence[float], y: Sequence[float], t: float):
+        x, y, t = finite_vector(x, float), finite_vector(y, float), finite_scalar(t, float, "t")
+        if len(x) != len(y):
+            raise DimensionError(f"x has length {len(x)} but y has length {len(y)}")
+        self.__dict__.update(x=x, y=y, t=t)
 
     @property
     def n(self) -> int:
@@ -104,9 +101,8 @@ class Dilation:
 
     r: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", finite_scalar(self.r, float, "dilation parameter",
-                                                    positive=True))
+    def __init__(self, r: float):
+        self.__dict__.update(r=finite_scalar(r, float, "dilation parameter", positive=True))
 
 
 def dilate(d: Dilation, g: RealElement) -> RealElement:

@@ -14,6 +14,9 @@ has one validator here, and no other code repeats its test:
 Operation outputs are built by `trusted_output`, which skips those checks.
 The groups are closed under their operations, so a float overflow is the one
 way such an output can be invalid, and `finite_output` keeps that one test.
+Both tests first test one sum, finite only if every term is (inf - inf is nan),
+and test each component only if it is not.  Fields are written with one
+`__dict__.update`: a frozen dataclass forbids attribute assignment, not that.
 """
 
 import cmath
@@ -77,7 +80,7 @@ def finite_vector(v, convert) -> tuple:
         raise ParameterError(f"vector components must be numbers, got {v!r}") from None
     if not out:
         raise DimensionError("vectors must have length n >= 1")
-    if not all(map(cmath.isfinite, out)):
+    if not cmath.isfinite(sum(out)) and not all(map(cmath.isfinite, out)):
         raise ParameterError("vector components must be finite")
     return out
 
@@ -99,23 +102,23 @@ def finite_scalar(v, convert, name: str, *, positive: bool = False):
 
 
 def trusted_output(cls, *parts):
-    """The dataclass `cls` with fields `parts`, built without `__post_init__`.
+    """The dataclass `cls` with fields `parts`, built without validation.
 
     Only for the outputs of operations on validated operands: each part must
     already have the type and form the validating constructor would give it.
     """
     obj = object.__new__(cls)
-    # a frozen dataclass forbids attribute assignment, not its instance dict
-    vars(obj).update(zip(cls.__match_args__, parts))
+    obj.__dict__.update(zip(cls.__match_args__, parts))
     return obj
 
 
 def finite_output(cls, operation: str, *parts):
     """`trusted_output(cls, *parts)` for the output of an operation on finite
     operands, where a non-finite component can only be a float overflow: the
-    error says so."""
-    isfinite = cmath.isfinite
-    for part in parts:
-        if not (all(map(isfinite, part)) if type(part) is tuple else isfinite(part)):
-            raise ParameterError(f"{operation} overflows the float range")
-    return trusted_output(cls, *parts)
+    error says so.  `parts` are vectors followed by one scalar."""
+    if not cmath.isfinite(sum(map(sum, parts[:-1]), parts[-1])) and not all(
+            map(cmath.isfinite, sum(parts[:-1], parts[-1:]))):
+        raise ParameterError(f"{operation} overflows the float range")
+    obj = object.__new__(cls)  # trusted_output inline: one call fewer per output
+    obj.__dict__.update(zip(cls.__match_args__, parts))
+    return obj

@@ -41,6 +41,7 @@ from .errors import (DimensionError, ParameterError, dimension, finite_output, f
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
+_conj = operator.methodcaller("conjugate")
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,8 @@ class ComplexElement:
     z: Tuple[complex, ...]
     t: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", finite_vector(self.z, complex))
-        object.__setattr__(self, "t", finite_scalar(self.t, float, "t"))
+    def __init__(self, z: Sequence[complex], t: float):
+        self.__dict__.update(z=finite_vector(z, complex), t=finite_scalar(t, float, "t"))
 
     @property
     def n(self) -> int:
@@ -65,12 +65,13 @@ class ComplexElement:
 
 def _cdot(a: Sequence, b: Sequence):
     """sum_j a_j conj(b_j)."""
-    return sum((x * y.conjugate() for x, y in zip(a, b)), 0j)
+    return sum(map(operator.mul, a, map(_conj, b)), 0j)
 
 
 def _norm2(v: Sequence):
-    """|v|^2.  a * a overflows to inf, where abs(c) ** 2 would raise OverflowError."""
-    return sum(a * a for a in map(abs, v))
+    """|v|^2.  m * m overflows to inf, where abs(c) ** 2 would raise OverflowError."""
+    m = tuple(map(abs, v))
+    return sum(map(operator.mul, m, m))
 
 
 def _cmul(z: Sequence, t, z2: Sequence, t2) -> Tuple:
@@ -130,9 +131,9 @@ class SiegelPoint:
     w: Tuple[complex, ...]
     sigma: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", finite_vector(self.w, complex))
-        object.__setattr__(self, "sigma", finite_scalar(self.sigma, complex, "sigma"))
+    def __init__(self, w: Sequence[complex], sigma: complex):
+        self.__dict__.update(w=finite_vector(w, complex),
+                             sigma=finite_scalar(sigma, complex, "sigma"))
 
     @property
     def n(self) -> int:
@@ -156,8 +157,8 @@ def classify(p: SiegelPoint) -> str:
 
 def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     """The affine automorphism A_(z,t); preserves the height exactly."""
-    if g.n != p.n:
-        raise DimensionError(f"dimension mismatch: {g.n} vs {p.n}")
+    if len(g.z) != len(p.w):
+        raise DimensionError(f"dimension mismatch: {len(g.z)} vs {len(p.w)}")
     return finite_output(SiegelPoint, "action", *_act(g.z, g.t, p.w, p.sigma))
 
 

@@ -2,13 +2,13 @@
 
 Public constructors, the public functions that take a dimension, and the text
 parsers validate, each input kind through its one validator in `errors`;
-every operation output is built without re-running `__post_init__`
-(errors.trusted_output / errors.finite_output).  These tests pin both halves:
-every public entry point that takes a dimension n refuses a bad one the same
-way, text is never read as a number, an operation's output is exactly what
-the validating constructor would have built from its fields, no validation
-runs while operations compute, and the one check the trusted path keeps, the
-float-overflow test, still names the operation.
+every operation output is built without re-running the validating
+constructor (errors.trusted_output / errors.finite_output).  These tests pin
+both halves: every public entry point that takes a dimension n refuses a bad
+one the same way, text is never read as a number, an operation's output is
+exactly what the validating constructor would have built from its fields, no
+validation runs while operations compute, and the one check the trusted path
+keeps, the float-overflow test, still names the operation.
 """
 
 import inspect
@@ -80,13 +80,17 @@ def components(obj):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Counts the `__post_init__` runs of the validating types."""
+    """Counts the validating runs of the validating types: their
+    `__post_init__`, or their own `__init__` where they define no
+    `__post_init__`."""
     count = [0]
     for cls in VALIDATING:
-        def counted(self, _check=cls.__post_init__):
+        name = "__post_init__" if hasattr(cls, "__post_init__") else "__init__"
+
+        def counted(self, *args, _check=getattr(cls, name), **kwargs):
             count[0] += 1
-            _check(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            _check(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
     return count
 
 
@@ -94,7 +98,10 @@ def validations(monkeypatch):
 def test_operations_do_not_revalidate(n, validations):
     rng = random.Random(n)
     for _ in range(20):
+        validations[0] = 0
         ops = operations(n, rng)
+        # the operands: two RealElements, LatticeElements and ComplexElements, one SiegelPoint
+        assert validations[0] == 7
         validations[0] = 0
         for name, op in ops:
             op()
@@ -121,6 +128,10 @@ def _real(x, y, t):
     return core.RealElement((x,), (y,), t)
 
 
+def _real2(x, t=0.0):
+    return core.RealElement(x, (0.0, 0.0), t)
+
+
 HUGE = core.Dilation(1e200)
 OVERFLOWS = [
     pytest.param("product", lambda: core.mul(_real(1e200, 1e200, 0), _real(1e200, 1e200, 0)), id="mul"),
@@ -139,6 +150,19 @@ OVERFLOWS = [
     pytest.param("dilation", lambda: siegel.cdilate(HUGE, siegel.ComplexElement((1j,), 1)), id="cdilate"),
     pytest.param("dilation", lambda: siegel.domain_dilate(HUGE, siegel.SiegelPoint((1j,), 1j)),
                  id="domain_dilate"),
+    # components inf and -inf sum to nan; a lone inf beside large finite parts sums to inf
+    pytest.param("product", lambda: core.mul(_real2((1e308, -1e308)), _real2((1e308, -1e308))),
+                 id="mul-inf-minus-inf"),
+    pytest.param("product", lambda: core.mul(_real2((1e308, -1e308)), _real2((1e308, -1e307))),
+                 id="mul-lone-inf"),
+    pytest.param("product", lambda: core.mul(_real2((-1e308, 1e308)), _real2((-1e307, 1e308))),
+                 id="mul-lone-inf-last"),
+    pytest.param("product", lambda: siegel.cmul(siegel.ComplexElement((1e308, -1e308), 0.0),
+                                                siegel.ComplexElement((1e308, -1e308), 0.0)),
+                 id="cmul-inf-minus-inf"),
+    pytest.param("dilation", lambda: siegel.domain_dilate(core.Dilation(2.0),
+                                                          siegel.SiegelPoint((1e308, -1e308), 1j)),
+                 id="domain_dilate-inf-minus-inf"),
 ]
 
 
@@ -147,6 +171,26 @@ def test_overflow_names_the_operation(operation, call):
     """Finite operands, an output that overflows: the trusted path's one test."""
     with pytest.raises(ParameterError, match=f"^{operation} overflows the float range$"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: core.mul(_real2((5e307, 5e307)), _real2((5e307, 5e307))),
+    lambda: core.mul(_real2((1e308, 0.0), 5e307), _real2((0.0, 1e308), 5e307)),
+    # cdot = -1e308j + 1e308j is exact, so sigma stays 1j + 2j
+    lambda: siegel.act(siegel.ComplexElement((1j, -1j), 0.0),
+                       siegel.SiegelPoint((1e308, 1e308), 1j)),
+    lambda: siegel.cmul(siegel.ComplexElement((1e308j, 1e308j), 0.0),
+                        siegel.ComplexElement((1e307j, 1e307j), 0.0)),
+], ids=["mul-x", "mul-x-t", "act", "cmul"])
+def test_finite_components_with_an_overflowing_sum_are_accepted(call):
+    """The output's one-sum test overflows, but every component is finite:
+    the output stands, equal to what the validating constructor builds."""
+    out = call()
+    *vectors, scalar = fields(out)
+    assert not np.isfinite(sum(map(sum, vectors), scalar))
+    assert all(map(np.isfinite, components(out)))
+    rebuilt = type(out)(*fields(out))
+    assert out == rebuilt and repr(out) == repr(rebuilt)
 
 
 @pytest.mark.parametrize("k, l", [((1, 2), (3,)), ((), ())])
@@ -228,11 +272,16 @@ def test_validators():
     assert errors.dimension(np.int64(3)) == 3 and type(errors.dimension(np.int64(3))) is int
     assert errors.finite_vector((x for x in (1, np.float32(0.5))), float) == (1.0, 0.5)
     assert errors.finite_vector([2, 1j], complex) == (2 + 0j, 1j)
+    # components whose sum overflows are finite
+    assert errors.finite_vector((1e308, 1e308), float) == (1e308, 1e308)
+    assert errors.finite_vector((1e308j, 1e308 + 1e308j), complex) == (1e308j, 1e308 + 1e308j)
     with pytest.raises(DimensionError, match="^vectors must have length n >= 1$"):
         errors.finite_vector((), float)
-    for bad in [(math.inf,), (0.0, math.nan)]:
+    for bad in [(math.inf,), (0.0, math.nan), (math.inf, -math.inf), (math.inf, -1e308)]:
         with pytest.raises(ParameterError, match="^vector components must be finite$"):
             errors.finite_vector(bad, float)
+    with pytest.raises(ParameterError, match="^vector components must be finite$"):
+        errors.finite_vector((complex(1, math.inf), complex(1, -math.inf)), complex)
     for bad in [1.0, (None,), (1j,)]:
         with pytest.raises(ParameterError, match="^vector components must be numbers"):
             errors.finite_vector(bad, float)

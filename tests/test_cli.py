@@ -152,8 +152,10 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
 
     @pytest.mark.parametrize("L, error", [
-        ("1e-320", "commutator overflows the float range"),  # 1 / (2 h) overflows
-        ("5e-324", "commutator overflows the float range"),  # h = L / N rounds to 0
+        ("1e-320", "L = 1e-320 is too small: the difference quotients overflow the float range"),
+        ("5e-324", "L = 5e-324 is too small: the difference quotients overflow the float range"),
+        # 1 / (2 h) is finite at N = 32 and overflows at 2N
+        ("1e-307", "L = 1e-307 is too small: the difference quotients overflow the float range"),
         ("1e308", "L = 1e+308 is too large: 2 pi w overflows the float range"),
     ])
     def test_commutator_overflow(self, capsys, L, error):

@@ -158,3 +158,52 @@ def test_kernels_on_arrays_match_python_numbers(n):
         assert got.shape == want.shape == (trials, want.shape[1])
         tol = 8 * np.finfo(np.float64).eps * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= tol
+
+
+def test_large_n_passes_within_the_rounding_bound():
+    """At n = 1000 the height sums 1000 terms of up to 800: its rounding
+    passes 1e-10, and correct code must still pass."""
+    text, ok = checks.siegel_check(1000, 100, 1)
+    assert ok and text.endswith("result: PASS\n")
+    assert float(_report_value(text, "max height-invariance deviation")) > 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_height_bound_at_small_n_is_below_2e_11(n):
+    bound = checks.SIEGEL_BOUND
+    largest_scale = 1 + bound + 2 * n * 2 * bound**2  # 1 + |Im sigma| + |w|^2 + |z|^2
+    assert checks.HEIGHT_ROUNDING * (n + 1) * largest_scale <= 2e-11
+
+
+def _without_cross_term(z, t, w, sigma):
+    """A_(z,t) with the 2 i w . conj(z) term dropped."""
+    return tuple(a + b for a, b in zip(w, z)), sigma + t + 1j * siegel._norm2(z)
+
+
+def _with_flipped_t(z, t, w, sigma):
+    moved, moved_sigma = ACT(z, t, w, sigma)
+    return moved, moved_sigma - 2 * t
+
+
+ACT, HEIGHT = siegel._act, siegel._height
+
+
+@pytest.mark.parametrize("n", [1, 3, 200])
+@pytest.mark.parametrize("mutant", [_without_cross_term, _with_flipped_t])
+def test_broken_actions_fail_at_every_n(n, mutant, monkeypatch):
+    monkeypatch.setattr(siegel, "_act", mutant)
+    text, ok = checks.siegel_check(n, 20, 0)
+    assert not ok and text.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_height_error_under_1e_10_fails_at_small_n(n, monkeypatch):
+    """A height off by 5e-11 wherever Re sigma > 0, so moving a point across
+    Re sigma = 0 changes it by 5e-11: under 1e-10, over the rounding bound.
+    Only the height property reads `_height`."""
+    monkeypatch.setattr(siegel, "_height", lambda w, sigma: HEIGHT(w, sigma)
+                        + 5e-11 * (sigma.real > 0))
+    text, ok = checks.siegel_check(n, 20, 0)
+    assert not ok and text.endswith("result: FAIL\n")
+    assert float(_report_value(text, "max height-invariance deviation")) < checks.SIEGEL_TOL
+    assert int(_report_value(text, "composition-identity failures")) == 0
