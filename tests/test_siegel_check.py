@@ -175,6 +175,9 @@ def test_height_bound_at_small_n_is_below_2e_11(n):
     assert checks.HEIGHT_ROUNDING * (n + 1) * largest_scale <= 2e-11
 
 
+ACT, HEIGHT = siegel._act, siegel._height
+
+
 def _without_cross_term(z, t, w, sigma):
     """A_(z,t) with the 2 i w . conj(z) term dropped."""
     return tuple(a + b for a, b in zip(w, z)), sigma + t + 1j * siegel._norm2(z)
@@ -183,9 +186,6 @@ def _without_cross_term(z, t, w, sigma):
 def _with_flipped_t(z, t, w, sigma):
     moved, moved_sigma = ACT(z, t, w, sigma)
     return moved, moved_sigma - 2 * t
-
-
-ACT, HEIGHT = siegel._act, siegel._height
 
 
 @pytest.mark.parametrize("n", [1, 3, 200])
