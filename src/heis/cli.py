@@ -26,7 +26,7 @@ import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import checks, core, grid, lattice, siegel, textio
-from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError
+from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError, trusted_output
 
 
 class Verb(NamedTuple):
@@ -62,16 +62,15 @@ def _seed(args) -> int:
 
 def _reduce(args) -> str:
     red = core.coset_reduce(_real(args, args.elem))
-    return (textio.format_lattice_element(lattice.LatticeElement(red.k, red.l, red.m)) + "\n"
-            + textio.format_real_element(red.rep))
+    gamma = trusted_output(lattice.LatticeElement, red.k, red.l, red.m)
+    return textio.format_lattice_element(gamma) + "\n" + textio.format_real_element(red.rep)
 
 
 def _commutator(args) -> Union[str, Tuple[str, bool]]:
     if args.infile is None:
-        return checks.commutator_check(32 if args.N is None else args.N,
-                                       1.0 if args.L is None else args.L)
-    if args.N is not None or args.L is not None:  # the file fixes the grid
-        _verb_parser("commutator").error("argument --in: not allowed with --N or --L")
+        return checks.commutator_check(32 if args.N is None else args.N)
+    if args.N is not None:  # the file fixes the grid
+        _verb_parser("commutator").error("argument --in: not allowed with --N")
     with open(args.infile) as fh:
         f = grid.read_grid_function(fh)
     ones = (1.0,) * f.spec.n
@@ -106,10 +105,9 @@ VERBS: Dict[str, Verb] = {
     "commutator": Verb(
         "difference/multiplication commutator convergence",
         (("--N", dict(type=int, metavar="GRID", help="coarse resolution, default 32")),
-         ("--L", dict(type=float, metavar="L", help="period length, default 1")),
          ("--in", dict(dest="infile", metavar="FILE",
                        help="grid-function file: print its interior defect instead "
-                            "(its header fixes the grid, so not with --N or --L)"))),
+                            "(its header fixes the grid, so not with --N)"))),
         _commutator),
     "siegel-mul": Verb("product in the complex group", (DIM, ("lhs", CELEM), ("rhs", CELEM)),
                        lambda a: textio.format_complex_element(siegel.cmul(

@@ -9,7 +9,7 @@ has one validator here, and no other code repeats its test:
 - `dimension(n)`: an ambient dimension, an integer n >= 1;
 - `finite_vector(v, convert)`: a non-empty vector of finite numbers;
 - `finite_scalar(v, convert, name)`: one finite number, such as a central
-  coordinate, a dilation parameter or a grid period.
+  coordinate, a dilation parameter or an operator's scalar.
 
 Operation outputs are built by `trusted_output`, which skips those checks.
 The groups are closed under their operations, so a float overflow is the one
@@ -21,6 +21,7 @@ and test each component only if it is not.  Fields are written with one
 
 import cmath
 import operator
+import sys
 
 
 class HeisError(Exception):
@@ -48,6 +49,12 @@ class WordSyntaxError(HeisError):
 
 class LiteralSyntaxError(HeisError):
     """An element/point text literal failed to parse."""
+
+
+def digit_limit(what: str) -> ParameterError:
+    """The error for an integer `what` of more digits than str() converts."""
+    return ParameterError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                          f"the most Python prints")
 
 
 def dimension(n) -> int:

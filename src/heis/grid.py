@@ -1,6 +1,6 @@
 """Finite clock-and-shift realization of the translation/modulation operators.
 
-Functions live on the periodic grid ([0, L) intersect hZ)^n with h = L/N.
+Functions live on the periodic grid ([0, 1) intersect hZ)^n with h = 1/N.
 Operators are indexed by integers: shifts p and modulations q in Z^n and a
 central s, of which only the residues mod N matter.  The translation T,
 modulation U and scalar C operators satisfy the commutation relation
@@ -12,8 +12,8 @@ U is a diagonal of N-th roots of unity.  The map
 rep: (p, q, s) -> T_p o U_q o C_{exp(2 pi i s / N)} is a representation of
 the integer Heisenberg group H_n(Z): a triple is a lattice.LatticeElement
 with (p, q, s) = (k, l, m), and triples multiply by lattice.lmul.  Its kernel
-is the triples with p, q, s all divisible by N.  No operator reads a
-continuum scale lambda, so the code has none; L only sets h, for the commutator.
+is the triples with p, q, s all divisible by N.  No operator reads a scale
+lambda or a period L, and h cancels from the commutator defect: neither is here.
 
 Every rep(p, q, s) is a monomial operator (Schwinger's finite Weyl pair):
 out[j] = exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].  One kernel,
@@ -66,11 +66,10 @@ IDENTITY_TOL = 1e-12  # is_identity_operator: max deviation on a basis function
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization data: dimension n, N samples per axis, period L."""
+    """Discretization data: dimension n, N samples per axis of [0, 1)."""
 
     n: int
     N: int
-    L: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "n", dimension(self.n))
@@ -80,7 +79,6 @@ class GridSpec:
             raise ParameterError(f"N must be an integer, got {self.N!r}") from None
         if self.N < 2:
             raise ParameterError("N must be >= 2")
-        object.__setattr__(self, "L", finite_scalar(self.L, float, "L", positive=True))
         # N >= 2, so at most 21 products: N**n itself can have millions of digits
         points = 1
         for _ in range(self.n):
@@ -91,7 +89,7 @@ class GridSpec:
 
     @property
     def h(self) -> float:
-        return self.L / self.N
+        return 1 / self.N
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -407,8 +405,8 @@ def commutator_defect(nu: Sequence[float], u: Sequence[float], f: GridFunction) 
 # --- text serialization -----------------------------------------------------
 
 def write_grid_function(f: GridFunction, stream: TextIO) -> None:
-    """Header `n N L`, then one `re im` sample per line, row-major."""
-    stream.write(f"{f.spec.n} {f.spec.N} {f.spec.L:.17g}\n")
+    """Header `n N`, then one `re im` sample per line, row-major."""
+    stream.write(f"{f.spec.n} {f.spec.N}\n")
     for v in f.values.ravel():
         stream.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
@@ -417,9 +415,9 @@ def read_grid_function(stream: TextIO) -> GridFunction:
     """Read what `write_grid_function` writes; a malformed file raises ParameterError."""
     try:
         header = stream.readline().split()
-        if len(header) != 3:
-            raise ParameterError("malformed grid function file: the header must be `n N L`")
-        spec = GridSpec(int(header[0]), int(header[1]), float(header[2]))
+        if len(header) != 2:
+            raise ParameterError("malformed grid function file: the header must be `n N`")
+        spec = GridSpec(int(header[0]), int(header[1]))
         values = []
         for line in filter(str.strip, stream):
             parts = line.split()

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import RealElement, embed_integer, law, law_inverse
-from .errors import DimensionError, ParameterError, WordSyntaxError, dimension, trusted_output
+from .errors import (DimensionError, ParameterError, WordSyntaxError, dimension, digit_limit,
+                     trusted_output)
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,10 @@ class GeneratorToken:
 
     def __str__(self) -> str:
         name = self.kind if self.kind == "c" else f"{self.kind}{self.index}"
-        return name if self.exponent == 1 else f"{name}^{self.exponent}"
+        try:
+            return name if self.exponent == 1 else f"{name}^{self.exponent}"
+        except ValueError:  # str() refuses an int of more digits than the limit
+            raise digit_limit("a generator's exponent") from None
 
 
 @dataclass(frozen=True)
@@ -188,17 +193,25 @@ def parse_word(text: str, n: int) -> Word:
         else:
             if not digits:
                 raise WordSyntaxError(f"generator {kind!r} requires an index", pos)
-            index = int(digits)
+            index = _int(digits, "index", match.start(2))
             if not 1 <= index <= n:
                 raise WordSyntaxError(f"index {index} out of range [1, {n}]", pos)
-        exponent = 1 if exp is None else int(exp)
+        exponent = 1 if exp is None else _int(exp, "exponent", match.start(4))
         end = match.end()
         if end < length and not text[end].isspace():
             raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
         if exponent != 0:
             tokens.append(GeneratorToken(kind, index, exponent))
         pos = end
-    return Word(n, tuple(tokens))
+    return trusted_output(Word, n, tuple(tokens))
+
+
+def _int(digits: str, name: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+        raise WordSyntaxError(f"{name} has more than {sys.get_int_max_str_digits()} digits",
+                              offset) from None
 
 
 def evaluate_word(w: Word) -> LatticeElement:
@@ -223,7 +236,7 @@ def normal_form(g: LatticeElement) -> Word:
             tokens.append(GeneratorToken("b", j, e))
     if g.m != 0:
         tokens.append(GeneratorToken("c", 0, g.m))
-    return Word(g.n, tuple(tokens))
+    return trusted_output(Word, g.n, tuple(tokens))
 
 
 def normalize_word(w: Word) -> Word:

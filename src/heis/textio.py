@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .core import RealElement
-from .errors import DimensionError, LiteralSyntaxError, dimension
+from .errors import DimensionError, LiteralSyntaxError, digit_limit, dimension
 from .lattice import LatticeElement
 from .siegel import ComplexElement, SiegelPoint
 
@@ -76,23 +76,14 @@ def parse_real_element(text: str, n: int) -> RealElement:
 
 
 def format_real_element(g: RealElement) -> str:
-    return (
-        ",".join(fmt_real(c) for c in g.x)
-        + ";"
-        + ",".join(fmt_real(c) for c in g.y)
-        + ";"
-        + fmt_real(g.t)
-    )
+    return ",".join(map(fmt_real, g.x)) + ";" + ",".join(map(fmt_real, g.y)) + ";" + fmt_real(g.t)
 
 
 def format_lattice_element(g: LatticeElement) -> str:
-    return (
-        ",".join(str(c) for c in g.k)
-        + ";"
-        + ",".join(str(c) for c in g.l)
-        + ";"
-        + str(g.m)
-    )
+    try:
+        return ",".join(map(str, g.k)) + ";" + ",".join(map(str, g.l)) + ";" + str(g.m)
+    except ValueError:  # str() refuses an int of more digits than the limit
+        raise digit_limit("an integer coordinate") from None
 
 
 def parse_complex_element(text: str, n: int) -> ComplexElement:

@@ -21,8 +21,9 @@ import pytest
 from heis import checks, core, errors, grid, lattice, siegel, textio
 from heis.errors import DimensionError, ParameterError
 
-VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint)
-COMPONENT_TYPES = (float, int, complex)
+VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint,
+              lattice.Word)
+COMPONENT_TYPES = (float, int, complex, lattice.GeneratorToken)  # a Word's are its tokens
 
 
 def operations(n, rng):
@@ -45,6 +46,10 @@ def operations(n, rng):
     p = siegel.SiegelPoint(cvec(), complex(rng.uniform(-10, 10), rng.uniform(-10, 10)))
     d = core.Dilation(rng.uniform(0.1, 10))
     j = rng.randint(1, n)
+    w = lattice.Word(n, tuple(lattice.GeneratorToken(kind, 0 if kind == "c" else rng.randint(1, n),
+                                                     rng.choice([-7, -1, 1, 2, 30]))
+                              for kind in rng.choices("abc", k=rng.randint(0, 8))))
+    text = str(w)
     return (
         ("core.mul", lambda: core.mul(g, h)),
         ("core.inverse", lambda: core.inverse(g)),
@@ -60,6 +65,10 @@ def operations(n, rng):
         ("lattice.token_element c", lambda: lattice.token_element(lattice.GeneratorToken("c", 0, 5), n)),
         ("lattice.gen_c", lambda: lattice.gen_c(n)),
         ("LatticeElement.identity", lambda: lattice.LatticeElement.identity(n)),
+        ("lattice.parse_word", lambda: lattice.parse_word(text, n)),
+        ("lattice.evaluate_word", lambda: lattice.evaluate_word(w)),
+        ("lattice.normal_form", lambda: lattice.normal_form(a)),
+        ("lattice.normalize_word", lambda: lattice.normalize_word(w)),
         ("siegel.cmul", lambda: siegel.cmul(cg, ch)),
         ("siegel.cinverse", lambda: siegel.cinverse(cg)),
         ("siegel.act", lambda: siegel.act(cg, p)),
@@ -100,8 +109,9 @@ def test_operations_do_not_revalidate(n, validations):
     for _ in range(20):
         validations[0] = 0
         ops = operations(n, rng)
-        # the operands: two RealElements, LatticeElements and ComplexElements, one SiegelPoint
-        assert validations[0] == 7
+        # the operands: two RealElements, LatticeElements and ComplexElements, one
+        # SiegelPoint and one Word
+        assert validations[0] == 8
         validations[0] = 0
         for name, op in ops:
             op()
@@ -300,8 +310,7 @@ def test_scalar_validator():
     (lambda v: siegel.ComplexElement((1j,), v), "t", float),
     (lambda v: siegel.SiegelPoint((1j,), v), "sigma", complex),
     (lambda v: core.Dilation(v), "r", float),
-    (lambda v: grid.GridSpec(1, 8, v), "L", float),
-], ids=["RealElement.t", "ComplexElement.t", "SiegelPoint.sigma", "Dilation.r", "GridSpec.L"])
+], ids=["RealElement.t", "ComplexElement.t", "SiegelPoint.sigma", "Dilation.r"])
 def test_scalar_fields_take_numbers_only(build, field, want):
     """A scalar field holds the converted number; text and other non-numbers
     are parameter errors, never read and never a bare TypeError."""
@@ -323,10 +332,8 @@ def test_scalar_fields_take_numbers_only(build, field, want):
     (lambda: core.Dilation(0), "dilation parameter must be positive and finite, got 0.0"),
     (lambda: core.Dilation(-math.inf), "dilation parameter must be positive and finite, got -inf"),
     (lambda: core.Dilation(math.nan), "dilation parameter must be positive and finite, got nan"),
-    (lambda: grid.GridSpec(1, 8, -1), "L must be positive and finite, got -1.0"),
-    (lambda: grid.GridSpec(1, 8, math.inf), "L must be positive and finite, got inf"),
 ], ids=["RealElement.t", "ComplexElement.t", "SiegelPoint.sigma", "Dilation-0", "Dilation--inf",
-        "Dilation-nan", "GridSpec-negative", "GridSpec-inf"])
+        "Dilation-nan"])
 def test_scalar_fields_must_be_finite(call, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         call()

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -151,19 +152,6 @@ class TestExitCodes:
         code, out, err = run(capsys, "siegel-check", "--n", str(n), "--trials", "4096")
         assert (code, out, err) == (3, "", "error: the input is too large for memory\n")
 
-    @pytest.mark.parametrize("L, error", [
-        ("1e-320", "L = 1e-320 is too small: the difference quotients overflow the float range"),
-        ("5e-324", "L = 5e-324 is too small: the difference quotients overflow the float range"),
-        # 1 / (2 h) is finite at N = 32 and overflows at 2N
-        ("1e-307", "L = 1e-307 is too small: the difference quotients overflow the float range"),
-        ("1e308", "L = 1e+308 is too large: 2 pi w overflows the float range"),
-    ])
-    def test_commutator_overflow(self, capsys, L, error):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # one line on stderr, no numpy warning
-            code, out, err = run(capsys, "commutator", "--L", L)
-        assert (code, out, err) == (3, "", f"error: {error}\n")
-
     def test_commutator_doubled_grid_names_N(self, capsys):
         """The check also runs at 2N: an N that the guard admits, but not its
         double, is refused by the N the user gave."""
@@ -172,18 +160,34 @@ class TestExitCodes:
         assert err == ("error: N = 1048576 is too large: the check also runs at 2N = 2097152 "
                        "points, over the 1048576 guard\n")
 
-    @pytest.mark.parametrize("L, values", [
-        (1e-320, np.sin(np.arange(32) / 5.0)),     # 1 / (2 h) overflows
-        (1e308, 1e300 * (-1.0) ** np.arange(32)),  # mu f overflows
-    ])
-    def test_commutator_in_file_overflow(self, capsys, tmp_path, L, values):
+    @pytest.mark.parametrize("values", [
+        1.5e308 * (-1.0) ** (np.arange(32) // 2),  # f[j + 1] - f[j - 1] overflows
+        1e307 * (-1.0) ** (np.arange(32) // 2),    # its quotient by 2 h does
+    ], ids=["difference", "quotient"])
+    def test_commutator_in_file_overflow(self, capsys, tmp_path, values):
         src = tmp_path / "f.txt"
         with open(src, "w") as fh:
-            grid.write_grid_function(grid.GridFunction(grid.GridSpec(1, 32, L), values), fh)
+            grid.write_grid_function(grid.GridFunction(grid.GridSpec(1, 32), values), fh)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error")  # one line on stderr, no numpy warning
             code, out, err = run(capsys, "commutator", "--in", str(src))
         assert (code, out, err) == (3, "", "error: commutator overflows the float range\n")
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("eval", "--n", "1", "c^" + "9" * 5000), 2, "exponent has more than {} digits (at offset 2)"),
+        (("parse", "--n", "1", "a1^" + "9" * 4400), 2,
+         "exponent has more than {} digits (at offset 3)"),
+        # b1^X a1^X = a1^X b1^X c^(X^2), and X^2 has 8000 digits
+        (("eval", "--n", "1", "b1^{0} a1^{0}".format("9" * 4000)), 3,
+         "an integer coordinate has more than {} digits, the most Python prints"),
+        (("norm", "--n", "1", "b1^{0} a1^{0}".format("9" * 4000)), 3,
+         "a generator's exponent has more than {} digits, the most Python prints"),
+    ], ids=["eval-literal", "parse-literal", "eval-output", "norm-output"])
+    def test_integers_past_the_digit_limit(self, capsys, argv, code, error):
+        """int() and str() convert at most sys.get_int_max_str_digits() digits:
+        a longer literal is a parse error, a longer output a domain error."""
+        got = run(capsys, *argv)
+        assert got == (code, "", f"error: {error.format(sys.get_int_max_str_digits())}\n")
 
     @pytest.mark.parametrize("n", ["3000", "4000"])
     def test_rep_check_huge_dimension(self, capsys, n):
@@ -224,7 +228,7 @@ class TestExitCodes:
         ("siegel-check", "--n", "1", "--se", "1"),
         ("dilate", "--n", "1", "--r", "2", "--he", "1;1;1"),
         ("commutator", "--in", "f.txt", "--N", "8"),  # the file fixes the grid
-        ("commutator", "--in", "f.txt", "--L", "2"),
+        ("commutator", "--L", "2"),                   # no period: h cancels from the defect
     ])
     def test_usage_errors_are_64(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -314,8 +318,7 @@ class TestGridFiles:
 
     def test_commutator_in_file(self, capsys, tmp_path):
         spec = grid.GridSpec(1, 64)
-        w = np.arange(64) * spec.h
-        f = grid.GridFunction(spec, np.sin(2 * np.pi * w))
+        f = grid.GridFunction(spec, np.sin(2 * np.pi * (np.arange(64) * spec.h)))
         src = tmp_path / "sine.txt"
         with open(src, "w") as fh:
             grid.write_grid_function(f, fh)
@@ -323,15 +326,23 @@ class TestGridFiles:
         assert code == 0
         assert out.startswith("interior defect:")
 
-    # a 4-field header (`n N L lambda` of older files) is malformed too
+    # a 3- or 4-field header (`n N L` or `n N L lambda` of older files) is malformed too
     @pytest.mark.parametrize("content", [b"a b c d\n", b"1 4 1 1\nx y\n", b"\xcc\xcc\n",
-                                         b"a b c\n", b"1 4 1\nx y\n"])
+                                         b"a b c\n", b"1 4 1\nx y\n", b"a b\n", b"1 4\nx y\n"])
     def test_malformed_file(self, capsys, tmp_path, content):
         src = tmp_path / "bad.txt"
         src.write_bytes(content)
         code, _, err = run(capsys, "commutator", "--in", str(src))
         assert code == 3
         assert "malformed grid function file" in err
+
+    def test_period_header_is_refused(self, capsys, tmp_path):
+        # the grid has no period: an `n N L` header of older files names the format
+        src = tmp_path / "old.txt"
+        src.write_text("1 4 1\n" + "0 0\n" * 4)
+        code, out, err = run(capsys, "commutator", "--in", str(src))
+        assert (code, out) == (3, "")
+        assert err == "error: malformed grid function file: the header must be `n N`\n"
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "commutator", "--in", "/nonexistent/f.txt")
@@ -354,7 +365,7 @@ class TestUsage:
         lines = cli.USAGE.splitlines()
         assert "  dilate --n N --r R ELEM" in lines
         assert "  rep-check [--n N] [--N GRID] [--trials TRIALS] [--seed SEED]" in lines
-        assert "  commutator [--N GRID] [--L L] [--in FILE]" in lines
+        assert "  commutator [--N GRID] [--in FILE]" in lines
 
     def test_siegel_check_reports_its_bound(self, capsys):
         _, out, _ = run(capsys, "siegel-check", "--n", "1", "--trials", "1", "--seed", "0")

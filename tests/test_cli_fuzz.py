@@ -2,8 +2,8 @@
 
 Each example picks a verb, a random subset of its declared options and values
 for them and its positionals, drawn from small integers, floats (negative ones
-also in exponent, `inf` and `nan` form), element literals, generator words and
-junk.  Whatever the argv, `main` must return a documented exit code, let no
+also in exponent, `inf` and `nan` form), element literals, generator words (with
+exponents past the digit limit of int-to-text conversion among them) and junk.  Whatever the argv, `main` must return a documented exit code, let no
 exception escape and print no traceback.  Two more properties make `VERBS` the
 whole grammar: a prefix of a declared option is not that option, and
 `--opt V` means what `--opt=V` means for every V that float() reads.  And a
@@ -61,9 +61,13 @@ COMPLEX = st.one_of(
     st.builds(lambda b: f"{b}i", REAL),
     st.sampled_from(["i", "1+2j", "inf+0i", "1e160+0i"]),
 )
+# int() reads and str() prints at most 4300 digits by default: a 4400-digit
+# exponent does not parse, and b1^X a1^X with a 4000-digit X evaluates to a
+# central coordinate of 8000 digits, which does not print
 TOKEN = st.builds(lambda g, j, e: f"{g}{j}{e}", st.sampled_from(["a", "b", "c", ""]),
                   st.sampled_from(["", "1", "2", "3", "4"]),
-                  st.sampled_from(["", "^2", "^-3", "^0", "^x"]))
+                  st.sampled_from(["", "^2", "^-3", "^0", "^x", "^" + "9" * 4000,
+                                   "^-" + "9" * 4400]))
 
 
 def _literal(metavar: str, dim: int):

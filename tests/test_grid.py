@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import io
+import math
 import warnings
 
 import numpy as np
@@ -10,8 +11,8 @@ from heis import checks, grid
 from heis.errors import DimensionError, ParameterError
 
 
-def spec1(N=4, L=1.0):
-    return grid.GridSpec(1, N, L)
+def spec1(N=4):
+    return grid.GridSpec(1, N)
 
 
 def gf(spec, values):
@@ -27,13 +28,11 @@ def random_f(spec, seed=0):
 
 class TestSpec:
     def test_step(self):
-        assert spec1(8, 2.0).h == 0.25
+        assert spec1(8).h == 0.125 and grid.GridSpec(2, 3).h == 1 / 3
 
     def test_guards(self):
         with pytest.raises(ParameterError):
             grid.GridSpec(1, 1)
-        with pytest.raises(ParameterError):
-            grid.GridSpec(1, 4, -1.0)
         with pytest.raises(ParameterError):
             grid.GridSpec(3, 2048)  # 2048^3 blows the point guard
 
@@ -45,8 +44,10 @@ class TestSpec:
                 grid.GridSpec(n, N)
 
     def test_no_scale_parameter(self):
-        # no operator reads a continuum scale, so the grid has none
-        assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N", "L"]
+        # no operator reads a continuum scale or a period, so the grid has neither
+        assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N"]
+        with pytest.raises(TypeError):
+            grid.GridSpec(1, 8, 1.0)
 
     def test_sizes_must_be_integers(self):
         for n, N, message in [(1.5, 8, "^n must be an integer, got 1.5$"),
@@ -297,8 +298,6 @@ class TestRepresentation:
         f = random_f(spec1(8))
         with pytest.raises(DimensionError, match="^grid functions live on different grids$"):
             grid.rep(g, spec1(16))(f)
-        with pytest.raises(DimensionError, match="^grid functions live on different grids$"):
-            grid.rep(g, spec1(8, L=2.0))(f)
         # an equal grid is the same grid, whichever object describes it
         assert np.array_equal(grid.rep(g, spec1(8))(f).values, grid.rep(g, f.spec)(f).values)
 
@@ -536,10 +535,9 @@ class TestOperatorCache:
 
 
 class TestCommutator:
-    def sine(self, N, L=1.0):
-        s = spec1(N, L)
-        w = np.arange(N) * s.h
-        return grid.GridFunction(s, np.sin(2 * np.pi * w / L))
+    def sine(self, N):
+        s = spec1(N)
+        return grid.GridFunction(s, np.sin(2 * np.pi * (np.arange(N) * s.h)))
 
     def test_zero_mu(self):
         assert grid.commutator_defect((1.0,), (0.0,), self.sine(32)) <= 1e-14
@@ -553,7 +551,7 @@ class TestCommutator:
         assert 3.5 <= d32 / d64 <= 4.5
 
     def test_2d_general_direction(self):
-        s = grid.GridSpec(2, 64, 1.0)
+        s = grid.GridSpec(2, 64)
         w0, w1 = np.meshgrid(np.arange(64) * s.h, np.arange(64) * s.h, indexing="ij")
         f = grid.GridFunction(s, np.sin(2 * np.pi * w0) * np.cos(2 * np.pi * w1))
         d = grid.commutator_defect((1.0, -0.5), (0.3, 2.0), f)
@@ -568,17 +566,40 @@ class TestCommutator:
         with pytest.raises(ParameterError, match="seam-exclusion margin"):
             grid.commutator_defect(nu, (1.0,), self.sine(N))
 
-    @pytest.mark.parametrize("L, values", [
-        (1e-320, np.sin(np.arange(32) / 5.0)),      # 1 / (2 h) overflows
-        (5e-324, np.sin(np.arange(32) / 5.0)),      # h = L / N rounds to 0
-        (1e308, 1e300 * (-1.0) ** np.arange(32)),   # mu f overflows
-    ])
-    def test_overflow_is_a_parameter_error(self, L, values):
-        f = grid.GridFunction(spec1(32, L), values)
+    @pytest.mark.parametrize("u, values", [
+        (1e308, np.sin(np.arange(32) / 5.0)),                # mu overflows
+        (1e307, np.sin(np.arange(32) / 5.0)),                # D (mu f) overflows
+        (1.0, 1.5e308 * (-1.0) ** (np.arange(32) // 2)),     # f[j + 1] - f[j - 1] overflows
+    ], ids=["mu", "difference-of-mu-f", "samples"])
+    def test_overflow_is_a_parameter_error(self, u, values):
+        f = grid.GridFunction(spec1(32), values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's overflow warnings stay inside
             with pytest.raises(ParameterError, match="commutator overflows the float range"):
-                grid.commutator_defect((1.0,), (1.0,), f)
+                grid.commutator_defect((1.0,), (u,), f)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_defect_is_the_closed_form(self, n):
+        """An independent oracle.  Away from the seam M_u(j +- e_a) = M_u(j) +-
+        u_a h, so the defect [D_nu, M_u] f - (nu . u) f is exactly
+        sum_a nu_a u_a ((f[j + e_a] + f[j - e_a]) / 2 - f[j]), in which h
+        cancels: no grid period could change it.  Neighbours come from np.roll,
+        on the interior that commutator_defect reads."""
+        rng = np.random.default_rng(n)
+        for N in (8, 13, 32, 100):
+            s = grid.GridSpec(n, N)
+            for trial in range(8):
+                nu, u = tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-5, 5, n))
+                f = random_f(s, seed=100 * N + trial)
+                closed = np.zeros(s.shape, dtype=complex)
+                for a in range(n):
+                    mean = (np.roll(f.values, -1, a) + np.roll(f.values, 1, a)) / 2
+                    closed += nu[a] * u[a] * (mean - f.values)
+                margin = max(1, math.ceil(max(map(abs, nu))))
+                want = np.max(np.abs(closed[(slice(margin, N - margin),) * n]))
+                # D divides M's rounding, eps |u| |f| per term, by 2 h: it grows with N
+                scale = N * sum(map(abs, nu)) * sum(map(abs, u)) * np.max(np.abs(f.values))
+                assert abs(grid.commutator_defect(nu, u, f) - want) <= 1e-14 * scale
 
     def test_margin_edge_is_admitted(self):
         # margin 3 leaves one interior point at N = 7
@@ -589,7 +610,7 @@ class TestCommutator:
         """Every weight vector, zero, negative and non-integer weights among
         them, gives sum_a nu_a (f[j + e_a] - f[j - e_a]) / (2 h) with
         neighbours taken by np.roll, bit for bit, in a fresh frozen array."""
-        s = grid.GridSpec(n, N, 0.7)
+        s = grid.GridSpec(n, N)
         f = random_f(s, seed=n * N)
         rng = np.random.default_rng(N)
         weights = [(0.0,) * n, (-1.0,) * n, (2.5,) + (0.0,) * (n - 1), (0.0,) * (n - 1) + (-1 / 3,)]
@@ -615,7 +636,7 @@ class TestCommutator:
 
 class TestSerialization:
     def test_roundtrip(self):
-        f = random_f(grid.GridSpec(2, 4, 2.0), seed=13)
+        f = random_f(grid.GridSpec(2, 4), seed=13)
         buf = io.StringIO()
         grid.write_grid_function(f, buf)
         buf.seek(0)
@@ -627,15 +648,20 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             grid.read_grid_function(io.StringIO("1 4\n"))
 
-    def test_header_is_n_N_L(self):
+    def test_header_is_n_N(self):
         buf = io.StringIO()
-        grid.write_grid_function(random_f(grid.GridSpec(1, 2, 0.5)), buf)
-        assert buf.getvalue().splitlines()[0] == "1 2 0.5"
+        grid.write_grid_function(random_f(grid.GridSpec(1, 2)), buf)
+        assert buf.getvalue().splitlines()[0] == "1 2"
 
     def test_old_header_with_lambda_is_rejected(self):
-        with pytest.raises(ParameterError, match="the header must be `n N L`"):
+        with pytest.raises(ParameterError, match="the header must be `n N`"):
             grid.read_grid_function(io.StringIO("1 2 1 1\n0 0\n0 0\n"))
+
+    def test_old_header_with_a_period_is_rejected(self):
+        with pytest.raises(ParameterError, match="^malformed grid function file: the header "
+                                                 "must be `n N`$"):
+            grid.read_grid_function(io.StringIO("1 2 1\n0 0\n0 0\n"))
 
     def test_wrong_count(self):
         with pytest.raises(ParameterError, match="expected 4 samples, got 1"):
-            grid.read_grid_function(io.StringIO("1 4 1\n0 0\n"))
+            grid.read_grid_function(io.StringIO("1 4\n0 0\n"))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestParse:
     def test_roundtrip_printing(self):
         text = "a1^2 b1 c^-1"
         assert str(lattice.parse_word(text, 1)) == text
+
+    @pytest.mark.parametrize("text, name, offset", [
+        ("a1 c^-{}", "exponent", 5),
+        ("b1^{} a1", "exponent", 3),
+        ("c a{}", "index", 3),
+    ])
+    def test_literal_past_the_digit_limit_is_a_syntax_error(self, text, name, offset):
+        """int() converts at most sys.get_int_max_str_digits() digits; a longer
+        literal is refused where it starts, and one at the limit is read."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(WordSyntaxError, match=f"^{name} has more than {limit} digits "
+                                                  f"\\(at offset {offset}\\)$") as exc:
+            lattice.parse_word(text.format("0" * limit + "1"), 1)
+        assert exc.value.offset == offset
+        assert lattice.parse_word(text.format("0" * (limit - 1) + "1"), 1).tokens
+
+    def test_printing_past_the_digit_limit_is_a_parameter_error(self):
+        limit = sys.get_int_max_str_digits()
+        big = lattice.GeneratorToken("c", 0, 10**limit)
+        with pytest.raises(ParameterError, match=f"^a generator's exponent has more than {limit} "
+                                                 f"digits, the most Python prints$"):
+            str(big)
+        assert str(lattice.GeneratorToken("c", 0, 10**limit - 1)) == "c^" + "9" * limit
 
 
 class TestEvaluate:

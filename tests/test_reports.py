@@ -35,8 +35,7 @@ CASES = {
                                       "--seed", str(s)] for n in (1, 2, 3) for s in (0, 5)},
     **{f"relcheck-n{n}": ["relcheck", "--n", str(n)] for n in (1, 2, 3)},
     "commutator-N32": ["commutator", "--N", "32"],
-    "commutator-L2": ["commutator", "--L", "2"],
-    "commutator-N16-L3": ["commutator", "--N", "16", "--L", "3"],
+    "commutator-N16": ["commutator", "--N", "16"],
 }
 
 
