@@ -25,7 +25,7 @@ import re
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from . import checks, core, grid, lattice, siegel, textio
+from . import checks, core, errors, grid, lattice, siegel, textio
 from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError, trusted_output
 
 
@@ -57,7 +57,8 @@ def _seed(args) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParameterError(f"seed must be a non-negative integer, got {text!r}") from None
+        raise (errors.digit_limit("seed") if re.fullmatch(INTEGER, text) else
+               ParameterError(f"seed must be a non-negative integer, got {text!r}")) from None
 
 
 def _reduce(args) -> str:
@@ -145,11 +146,14 @@ USAGE = ("usage: heis <verb> [options]      (heis <verb> --help describes one ve
 # argparse alone takes `-1e-3` or `-inf` for an option; read whatever float()
 # reads as a value, as `--r=-1e-3` always is
 NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+INTEGER = r"\s*[+-]?\d+\s*"  # int() refuses such text only past its digit limit
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on a usage error; here 2 means a literal did not parse
-    def error(self, message):
+    def error(self, message):  # name int()'s digit limit, not the digits type=int echoes
+        message = re.sub(f"invalid int value: '{INTEGER}'",
+                         f"more than {sys.get_int_max_str_digits()} digits", message)
         self.print_usage(sys.stderr)
         self.exit(64, f"error: {message}\n")
 

@@ -16,7 +16,7 @@ H_n(Z) to a canonical representative in the half-open cube [0, 1)^(2n+1).
 
 `RealElement(...)` and the `textio` parsers validate what comes from outside.
 Operation outputs are built unchecked, except for the overflow test of
-`errors.finite_output`: validation happens once, at the public boundary.
+`errors.finite_triple`: validation happens once, at the public boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_scalar,
+from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_triple,
                      finite_vector, trusted_output)
 
 
@@ -78,12 +78,12 @@ def law_inverse(x: Sequence, y: Sequence, t) -> Tuple:
 
 def mul(g: RealElement, h: RealElement) -> RealElement:
     """Group product g h; the central slot picks up h.x . g.y."""
-    return finite_output(RealElement, "product", *law(g.x, g.y, g.t, h.x, h.y, h.t))
+    return finite_triple(RealElement, "product", *law(g.x, g.y, g.t, h.x, h.y, h.t))
 
 
 def inverse(g: RealElement) -> RealElement:
     """The two-sided inverse (-x, -y, -t + x . y)."""
-    return finite_output(RealElement, "inverse", *law_inverse(g.x, g.y, g.t))
+    return finite_triple(RealElement, "inverse", *law_inverse(g.x, g.y, g.t))
 
 
 def naive_inverse(g: RealElement) -> RealElement:
@@ -107,12 +107,8 @@ class Dilation:
 
 def dilate(d: Dilation, g: RealElement) -> RealElement:
     r = d.r
-    return finite_output(
-        RealElement, "dilation",
-        tuple(r * c for c in g.x),
-        tuple(r * c for c in g.y),
-        r * r * g.t,
-    )
+    return finite_triple(RealElement, "dilation",
+                         tuple(r * c for c in g.x), tuple(r * c for c in g.y), r * r * g.t)
 
 
 @dataclass(frozen=True)

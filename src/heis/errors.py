@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the library and the CLI, the validators
-of the public boundary, and the one constructor of operation outputs.
+of the public boundary, and the constructors of operation outputs.
 
 Validation happens once, at the public boundary: the public constructors
 (`RealElement(...)`, `LatticeElement(...)`, `GridSpec(...)`, ...), the public
@@ -13,10 +13,11 @@ has one validator here, and no other code repeats its test:
 
 Operation outputs are built by `trusted_output`, which skips those checks.
 The groups are closed under their operations, so a float overflow is the one
-way such an output can be invalid, and `finite_output` keeps that one test.
-Both tests first test one sum, finite only if every term is (inf - inf is nan),
-and test each component only if it is not.  Fields are written with one
-`__dict__.update`: a frozen dataclass forbids attribute assignment, not that.
+way such an output can be invalid: `finite_triple` ((x, y, t) outputs) and
+`finite_pair` ((vector, scalar) outputs) keep that one test.  They and
+`finite_vector` first test one sum, finite only if every term is (inf - inf
+is nan), and test each component only if it is not.  Fields are written into
+the instance `__dict__`: a frozen dataclass forbids attribute assignment only.
 """
 
 import cmath
@@ -119,13 +120,22 @@ def trusted_output(cls, *parts):
     return obj
 
 
-def finite_output(cls, operation: str, *parts):
-    """`trusted_output(cls, *parts)` for the output of an operation on finite
-    operands, where a non-finite component can only be a float overflow: the
-    error says so.  `parts` are vectors followed by one scalar."""
-    if not cmath.isfinite(sum(map(sum, parts[:-1]), parts[-1])) and not all(
-            map(cmath.isfinite, sum(parts[:-1], parts[-1:]))):
+def finite_triple(cls, operation: str, x: tuple, y: tuple, t: float):
+    """The `RealElement` `cls` (x, y, t) output by `operation` on finite operands,
+    built as by `trusted_output`.  A non-finite part can only be an overflow."""
+    if not cmath.isfinite(sum(x, sum(y, t))) and not all(map(cmath.isfinite, (*x, *y, t))):
         raise ParameterError(f"{operation} overflows the float range")
-    obj = object.__new__(cls)  # trusted_output inline: one call fewer per output
-    obj.__dict__.update(zip(cls.__match_args__, parts))
+    obj = object.__new__(cls)
+    fields = obj.__dict__
+    fields["x"], fields["y"], fields["t"] = x, y, t
+    return obj
+
+
+def finite_pair(cls, operation: str, v: tuple, s):
+    """`finite_triple` for a (vector, scalar) output: `ComplexElement` or `SiegelPoint`."""
+    if not cmath.isfinite(sum(v, s)) and not (all(map(cmath.isfinite, v)) and cmath.isfinite(s)):
+        raise ParameterError(f"{operation} overflows the float range")
+    obj = object.__new__(cls)
+    fields, (vector, scalar) = obj.__dict__, cls.__match_args__
+    fields[vector], fields[scalar] = v, s
     return obj

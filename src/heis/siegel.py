@@ -23,7 +23,7 @@ Each formula lives once, in a private kernel over plain components (`_cmul`,
 `_act`, `_height`, `_dilate`, and `_compose_gap` for the composition
 identity).  A kernel runs unchanged on Python numbers and on numpy arrays
 holding one value per trial in each coordinate: the public functions wrap
-the kernels with the dimension check and `errors.finite_output`, and
+the kernels with the dimension check and `errors.finite_pair`, and
 `checks.siegel_check` runs them on arrays.
 """
 
@@ -36,7 +36,7 @@ from typing import Sequence, Tuple
 
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
-from .errors import (DimensionError, ParameterError, dimension, finite_output, finite_scalar,
+from .errors import (DimensionError, ParameterError, dimension, finite_pair, finite_scalar,
                      finite_vector, trusted_output)
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
@@ -115,7 +115,7 @@ def _finite_max(*moduli: float) -> float:
 def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
     if g.n != h.n:
         raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
-    return finite_output(ComplexElement, "product", *_cmul(g.z, g.t, h.z, h.t))
+    return finite_pair(ComplexElement, "product", *_cmul(g.z, g.t, h.z, h.t))
 
 
 def cinverse(g: ComplexElement) -> ComplexElement:
@@ -159,7 +159,7 @@ def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     """The affine automorphism A_(z,t); preserves the height exactly."""
     if len(g.z) != len(p.w):
         raise DimensionError(f"dimension mismatch: {len(g.z)} vs {len(p.w)}")
-    return finite_output(SiegelPoint, "action", *_act(g.z, g.t, p.w, p.sigma))
+    return finite_pair(SiegelPoint, "action", *_act(g.z, g.t, p.w, p.sigma))
 
 
 def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> bool:
@@ -174,9 +174,9 @@ def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> 
 
 
 def cdilate(d: ComplexDilation, g: ComplexElement) -> ComplexElement:
-    return finite_output(ComplexElement, "dilation", *_dilate(d.r, g.z, g.t))
+    return finite_pair(ComplexElement, "dilation", *_dilate(d.r, g.z, g.t))
 
 
 def domain_dilate(d: ComplexDilation, p: SiegelPoint) -> SiegelPoint:
     """Scales the height by exactly r^2, so preserves domain and boundary."""
-    return finite_output(SiegelPoint, "dilation", *_dilate(d.r, p.w, p.sigma))
+    return finite_pair(SiegelPoint, "dilation", *_dilate(d.r, p.w, p.sigma))

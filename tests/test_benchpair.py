@@ -39,3 +39,30 @@ def test_each_run_keeps_its_unit_count(tmp_path, monkeypatch):
     # pair 1 runs the parent first, pair 2 the change first
     assert report["attempted_per_run"] == {"parent": [100, 400], "change": [200, 300]}
     assert report["attempted"] == {"parent": 500, "change": 500}
+
+
+THROUGHPUT = {"name": "throughput_ops_s", "unit": "1/s", "better": "higher", "bound": 0.15}
+LATENCY = {"name": "latency_p50_us", "unit": "us", "better": "lower", "bound": 0.15}
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]  # quartiles 1.0 apart
+
+
+@pytest.mark.parametrize("spec, change, resolved", [
+    (THROUGHPUT, [v + 5 for v in PARENT], True),
+    (THROUGHPUT, [v + 5 for v in PARENT[:-1]] + [PARENT[-1]], True),  # 9 wins and a tie
+    (THROUGHPUT, [v + 5 for v in PARENT[:-2]] + PARENT[-2:], False),  # 8 wins and 2 ties
+    (THROUGHPUT, [v + 0.5 for v in PARENT], False),  # every pair won, inside the parent's IQR
+    (THROUGHPUT, [v - 5 for v in PARENT], False),  # a loss
+    (LATENCY, [v - 5 for v in PARENT], True),
+    (LATENCY, [v + 5 for v in PARENT], False),
+], ids=["all-won", "tie", "two-ties", "inside-iqr", "higher-is-worse", "lower-is-better",
+        "lower-is-worse"])
+def test_gain_resolved(spec, change, resolved):
+    got = benchpair.compare(spec, {"parent": PARENT, "change": change})
+    assert got["parent_iqr"] == pytest.approx(1.0)
+    assert got["gain_resolved"] is resolved
+
+
+def test_fewer_than_ten_pairs_resolve_no_gain():
+    parent = PARENT[:9]
+    got = benchpair.compare(THROUGHPUT, {"parent": parent, "change": [v + 5 for v in parent]})
+    assert got["change_wins"] == "9/9" and got["gain_resolved"] is False

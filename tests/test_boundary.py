@@ -3,12 +3,12 @@
 Public constructors, the public functions that take a dimension, and the text
 parsers validate, each input kind through its one validator in `errors`;
 every operation output is built without re-running the validating
-constructor (errors.trusted_output / errors.finite_output).  These tests pin
-both halves: every public entry point that takes a dimension n refuses a bad
-one the same way, text is never read as a number, an operation's output is
-exactly what the validating constructor would have built from its fields, no
-validation runs while operations compute, and the one check the trusted path
-keeps, the float-overflow test, still names the operation.
+constructor (errors.trusted_output, errors.finite_triple, errors.finite_pair).
+These tests pin both halves: every public entry point that takes a dimension n
+refuses a bad one the same way, text is never read as a number, an operation's
+output is exactly what the validating constructor would have built from its
+fields, no validation runs while operations compute, and the one check the
+trusted path keeps, the float-overflow test, still names the operation.
 """
 
 import inspect
@@ -191,13 +191,16 @@ def test_overflow_names_the_operation(operation, call):
                        siegel.SiegelPoint((1e308, 1e308), 1j)),
     lambda: siegel.cmul(siegel.ComplexElement((1e308j, 1e308j), 0.0),
                         siegel.ComplexElement((1e307j, 1e307j), 0.0)),
-], ids=["mul-x", "mul-x-t", "act", "cmul"])
+    lambda: core.dilate(core.Dilation(1.0), _real2((1e308, 1e308), 1e308)),
+    lambda: siegel.domain_dilate(core.Dilation(1.0), siegel.SiegelPoint((1e308, 1e308j), 1e308j)),
+], ids=["mul-x", "mul-x-t", "act", "cmul", "dilate", "domain_dilate"])
 def test_finite_components_with_an_overflowing_sum_are_accepted(call):
     """The output's one-sum test overflows, but every component is finite:
     the output stands, equal to what the validating constructor builds."""
     out = call()
-    *vectors, scalar = fields(out)
-    assert not np.isfinite(sum(map(sum, vectors), scalar))
+    # the sum that errors.finite_triple or errors.finite_pair tests, in its order
+    total = sum(out.x, sum(out.y, out.t)) if type(out) is core.RealElement else sum(*fields(out))
+    assert not np.isfinite(total)
     assert all(map(np.isfinite, components(out)))
     rebuilt = type(out)(*fields(out))
     assert out == rebuilt and repr(out) == repr(rebuilt)

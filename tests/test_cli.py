@@ -182,12 +182,31 @@ class TestExitCodes:
          "an integer coordinate has more than {} digits, the most Python prints"),
         (("norm", "--n", "1", "b1^{0} a1^{0}".format("9" * 4000)), 3,
          "a generator's exponent has more than {} digits, the most Python prints"),
-    ], ids=["eval-literal", "parse-literal", "eval-output", "norm-output"])
+        (("rep-check", "--trials", "1", "--seed", "9" * 5000), 3,
+         "seed has more than {} digits, the most Python prints"),
+    ], ids=["eval-literal", "parse-literal", "eval-output", "norm-output", "seed-option"])
     def test_integers_past_the_digit_limit(self, capsys, argv, code, error):
         """int() and str() convert at most sys.get_int_max_str_digits() digits:
-        a longer literal is a parse error, a longer output a domain error."""
+        a longer literal is a parse error, a longer output or seed a domain error."""
         got = run(capsys, *argv)
         assert got == (code, "", f"error: {error.format(sys.get_int_max_str_digits())}\n")
+
+    def test_seed_environment_past_the_digit_limit(self, capsys, monkeypatch):
+        monkeypatch.setenv("HEIS_SEED", "+" + "9" * 5000)
+        got = run(capsys, "siegel-check", "--n", "1", "--trials", "1")
+        limit = sys.get_int_max_str_digits()
+        assert got == (3, "", f"error: seed has more than {limit} digits, the most Python prints\n")
+
+    @pytest.mark.parametrize("argv, sign", [
+        (("siegel-check", "--n"), ""), (("rep-check", "--N"), "-"), (("rep-check", "--trials"), " +"),
+    ], ids=["n", "N", "trials"])
+    def test_int_option_past_the_digit_limit(self, capsys, argv, sign):
+        """A usage error that names int()'s digit limit, without echoing the digits."""
+        code, out, err = run(capsys, *argv, sign + "9" * 5000)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (64, "")
+        assert err.endswith(f"\nerror: argument {argv[1]}: more than {limit} digits\n")
+        assert "999" not in err
 
     @pytest.mark.parametrize("n", ["3000", "4000"])
     def test_rep_check_huge_dimension(self, capsys, n):

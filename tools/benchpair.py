@@ -11,9 +11,12 @@ runs the parent first when i is odd and the change first when i is even, and
 takes the i-th seed, cycling.  Per workload and end-to-end metric the output
 records each side's median and quartiles, the relative change of the
 medians, the pairs the change won, the bound from BENCHMARK.json, whether the
-change stays inside it, and every run.  Each run's count of attempted units
-sits beside the metrics, in the same order as the runs, so a reader can tell
-whether a metric such as `peak_rss_mib` follows the number of units timed.
+change stays inside it, whether a gain is resolved, and every run.  A gain is
+resolved when at least 10 pairs ran, the change won at least 9/10 of them (a
+tie is no win), and the medians differ in the better direction by more than
+the distance between the parent's quartiles.  Each run's count of attempted
+units sits beside the metrics, in the same order as the runs, so a reader can
+tell whether a metric such as `peak_rss_mib` follows the number of units timed.
 The file is rewritten after each pair, so an interrupted comparison keeps
 the pairs it finished.
 """
@@ -57,14 +60,17 @@ def compare(spec: dict, runs: dict) -> dict:
     relative = (change["median"] - parent["median"]) / parent["median"]
     sign = 1 if spec["better"] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
+    pairs, parent_iqr = len(runs["parent"]), parent["q3"] - parent["q1"]
     return {
         "unit": spec["unit"],
         "better": spec["better"],
         "parent": parent,
         "change": change,
         "relative_change": relative,
-        "change_wins": f"{wins}/{len(runs['parent'])}",
-        "parent_iqr": parent["q3"] - parent["q1"],
+        "change_wins": f"{wins}/{pairs}",
+        "parent_iqr": parent_iqr,
+        "gain_resolved": (pairs >= 10 and 10 * wins >= 9 * pairs
+                          and sign * (change["median"] - parent["median"]) > parent_iqr),
         "bound": spec["bound"],
         "within_bound": sign * relative >= -spec["bound"],
         "runs": runs,
