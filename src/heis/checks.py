@@ -42,7 +42,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import core, grid, lattice, siegel
-from .errors import ParameterError, dimension
+from .errors import ParameterError, dimension, integer
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
 BLOCK_VALUES = 2**16             # values per block of trials, or one trial if it holds more
@@ -64,20 +64,14 @@ def _verdict(lines: List[str], ok: bool) -> Tuple[str, bool]:
 
 def _check_run(n: int, trials: int, seed: int) -> Tuple[int, int, int]:
     """(n, trials, seed) as ints, once each is known to be valid."""
-    n = dimension(n)
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise ParameterError(f"trials must be an integer, got {trials!r}") from None
+    n, trials = dimension(n), integer(trials, "trials")
     # with no trials every maximum stays 0 and the suite would pass vacuously
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    try:
-        if operator.index(seed) < 0:
-            raise TypeError  # a negative seed is refused like a non-integer
-    except TypeError:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}") from None
-    return n, trials, operator.index(seed)
+    seed = integer(seed, "seed")
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return n, trials, seed
 
 
 def relation_check(n: int) -> Tuple[str, bool]:

@@ -57,8 +57,8 @@ def _seed(args) -> int:
     try:
         return int(text)
     except ValueError:
-        raise (errors.digit_limit("seed") if re.fullmatch(INTEGER, text) else
-               ParameterError(f"seed must be a non-negative integer, got {text!r}")) from None
+        raise ParameterError(errors.digit_limit("seed") if re.fullmatch(INTEGER, text) else
+                             f"seed must be a non-negative integer, got {text!r}") from None
 
 
 def _reduce(args) -> str:

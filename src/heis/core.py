@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_triple,
-                     finite_vector, trusted_output)
+                     finite_vector, integer, integers, trusted_output)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -157,8 +157,10 @@ def embed_integer(k: Sequence[int], l: Sequence[int], m: int) -> RealElement:
     """The inclusion H_n(Z) -> H_n(R) on an integer triple (k, l, m), as held
     by a `LatticeElement` or a `CosetReduction`.
 
-    Raises ParameterError when a component is too large for a float.
+    Raises ParameterError when a component is not an integer (a float would
+    embed a point off the lattice) or is too large for a float.
     """
+    k, l, m = integers(k, "k"), integers(l, "l"), integer(m, "m")
     if not 0 < len(k) == len(l):
         raise DimensionError(f"k and l must have equal length n >= 1, got {len(k)} and {len(l)}")
     try:

@@ -6,6 +6,8 @@ Validation happens once, at the public boundary: the public constructors
 functions that take a dimension, and the `textio` parsers.  Each input kind
 has one validator here, and no other code repeats its test:
 
+- `integer(v, name)` and `integers(v, name)`: one integer (a grid size N,
+  a seed) or a vector of integers (a lattice triple's k, a grid shift p);
 - `dimension(n)`: an ambient dimension, an integer n >= 1;
 - `finite_vector(v, convert)`: a non-empty vector of finite numbers;
 - `finite_scalar(v, convert, name)`: one finite number, such as a central
@@ -52,20 +54,33 @@ class LiteralSyntaxError(HeisError):
     """An element/point text literal failed to parse."""
 
 
-def digit_limit(what: str) -> ParameterError:
-    """The error for an integer `what` of more digits than str() converts."""
-    return ParameterError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
-                          f"the most Python prints")
+def digit_limit(what: str) -> str:
+    """The error text for an integer `what` of more digits than int() reads or
+    str() prints: both convert at most sys.get_int_max_str_digits() digits."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits, the most Python converts"
+
+
+def integer(v, name: str) -> int:
+    """v as an int.  An integer type is accepted (numpy ones too), anything
+    else is refused, never truncated and never read from text; `name` names
+    the field in the error."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {v!r}") from None
+
+
+def integers(v, name: str) -> tuple:
+    """v as a tuple of ints, each component accepted as by `integer`."""
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ParameterError(f"{name} must have integers as components, got {v!r}") from None
 
 
 def dimension(n) -> int:
-    """n as an int >= 1: the one check of an ambient dimension.  An integer
-    type is accepted (numpy ones too), anything else is refused, never
-    truncated."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ParameterError(f"n must be an integer, got {n!r}") from None
+    """n as an int >= 1: the one check of an ambient dimension."""
+    n = integer(n, "n")
     if n < 1:
         raise DimensionError("n must be >= 1")
     return n

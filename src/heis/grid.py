@@ -50,14 +50,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, dimension, finite_scalar, finite_vector
+from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_vector,
+                     integer, integers)
 from .lattice import LatticeElement, linverse, lmul
 
 MAX_GRID_POINTS = 2**20
@@ -73,10 +73,7 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n", dimension(self.n))
-        try:
-            object.__setattr__(self, "N", operator.index(self.N))
-        except TypeError:
-            raise ParameterError(f"N must be an integer, got {self.N!r}") from None
+        object.__setattr__(self, "N", integer(self.N, "N"))
         if self.N < 2:
             raise ParameterError("N must be >= 2")
         # N >= 2, so at most 21 products: N**n itself can have millions of digits
@@ -150,10 +147,7 @@ def _n_vector(v: Sequence, n: int, name: str) -> Sequence:
 
 def _check_vec(v: Sequence, n: int, name: str) -> Tuple[int, ...]:
     """v as a tuple of n integers (numpy ones too); a non-integer is refused, not truncated."""
-    try:
-        return tuple(map(operator.index, _n_vector(v, n, name)))
-    except TypeError:
-        raise ParameterError(f"{name} must have integers as components, got {v!r}") from None
+    return integers(_n_vector(v, n, name), name)
 
 
 @functools.lru_cache(maxsize=16)

@@ -18,15 +18,13 @@ Arithmetic uses Python integers throughout, so no overflow is possible.
 
 from __future__ import annotations
 
-import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from .core import RealElement, embed_integer, law, law_inverse
 from .errors import (DimensionError, ParameterError, WordSyntaxError, dimension, digit_limit,
-                     trusted_output)
+                     integer, integers, trusted_output)
 
 
 @dataclass(frozen=True)
@@ -38,15 +36,9 @@ class LatticeElement:
     m: int
 
     def __post_init__(self):
-        # integers only (numpy ones too): int() would truncate 2.7 or read "3"
-        index = operator.index
-        try:
-            object.__setattr__(self, "k", tuple(map(index, self.k)))
-            object.__setattr__(self, "l", tuple(map(index, self.l)))
-            object.__setattr__(self, "m", index(self.m))
-        except TypeError:
-            raise ParameterError(f"k, l and m must be integers, got {self.k!r}, {self.l!r}, "
-                                 f"{self.m!r}") from None
+        object.__setattr__(self, "k", integers(self.k, "k"))
+        object.__setattr__(self, "l", integers(self.l, "l"))
+        object.__setattr__(self, "m", integer(self.m, "m"))
         if len(self.k) == 0 or len(self.k) != len(self.l):
             raise DimensionError("k and l must have equal length n >= 1")
 
@@ -122,11 +114,7 @@ class GeneratorToken:
 
     def __init__(self, kind: str, index: int, exponent: int):
         if type(index) is not int or type(exponent) is not int:
-            try:
-                index, exponent = operator.index(index), operator.index(exponent)
-            except TypeError:
-                raise ParameterError(f"generator index and exponent must be integers, "
-                                     f"got {index!r} and {exponent!r}") from None
+            index, exponent = integer(index, "index"), integer(exponent, "exponent")
         if kind == "c":
             if index != 0:
                 raise ParameterError(f"the central generator c takes index 0, got {index}")
@@ -143,7 +131,7 @@ class GeneratorToken:
         try:
             return name if self.exponent == 1 else f"{name}^{self.exponent}"
         except ValueError:  # str() refuses an int of more digits than the limit
-            raise digit_limit("a generator's exponent") from None
+            raise ParameterError(digit_limit("a generator's exponent")) from None
 
 
 @dataclass(frozen=True)
@@ -210,8 +198,7 @@ def _int(digits: str, name: str, offset: int) -> int:
     try:
         return int(digits)
     except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
-        raise WordSyntaxError(f"{name} has more than {sys.get_int_max_str_digits()} digits",
-                              offset) from None
+        raise WordSyntaxError(digit_limit(name), offset) from None
 
 
 def evaluate_word(w: Word) -> LatticeElement:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from .core import RealElement
-from .errors import DimensionError, LiteralSyntaxError, digit_limit, dimension
+from .errors import DimensionError, LiteralSyntaxError, ParameterError, digit_limit, dimension
 from .lattice import LatticeElement
 from .siegel import ComplexElement, SiegelPoint
 
@@ -83,7 +83,7 @@ def format_lattice_element(g: LatticeElement) -> str:
     try:
         return ",".join(map(str, g.k)) + ";" + ",".join(map(str, g.l)) + ";" + str(g.m)
     except ValueError:  # str() refuses an int of more digits than the limit
-        raise digit_limit("an integer coordinate") from None
+        raise ParameterError(digit_limit("an integer coordinate")) from None
 
 
 def parse_complex_element(text: str, n: int) -> ComplexElement:

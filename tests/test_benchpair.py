@@ -66,3 +66,23 @@ def test_fewer_than_ten_pairs_resolve_no_gain():
     parent = PARENT[:9]
     got = benchpair.compare(THROUGHPUT, {"parent": parent, "change": [v + 5 for v in parent]})
     assert got["change_wins"] == "9/9" and got["gain_resolved"] is False
+
+
+def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
+    """`src_lines` holds each side's total line count of src/heis/*.py."""
+    sizes = {"parent": {"a.py": 3, "b.py": 4}, "change": {"a.py": 3, "b.py": 1, "c.py": 2}}
+    for side, files in sizes.items():
+        package = tmp_path / side / "src" / "heis"
+        package.mkdir(parents=True)
+        for name, lines in files.items():
+            (package / name).write_text("x = 1\n" * lines)
+        (package / "notes.txt").write_text("not counted\n" * 5)
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    monkeypatch.setattr(benchpair, "run_once", lambda *args: {
+        "attempted": 1, "failed": 0, "metrics": {s["name"]: {"value": 1.0} for s in specs}})
+    out = tmp_path / "bench.json"
+    assert benchpair.main(["--parent", str(tmp_path / "parent"), "--change",
+                           str(tmp_path / "change"), "--workload", "cli-session", "--seed", "1",
+                           "--pairs", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 7, "change": 6}

@@ -5,14 +5,18 @@ parsers validate, each input kind through its one validator in `errors`;
 every operation output is built without re-running the validating
 constructor (errors.trusted_output, errors.finite_triple, errors.finite_pair).
 These tests pin both halves: every public entry point that takes a dimension n
-refuses a bad one the same way, text is never read as a number, an operation's
-output is exactly what the validating constructor would have built from its
-fields, no validation runs while operations compute, and the one check the
-trusted path keeps, the float-overflow test, still names the operation.
+refuses a bad one the same way, every integer input takes integers only, text
+is never read as a number, an operation's output is exactly what the
+validating constructor would have built from its fields, no validation runs
+while operations compute, and the one check the trusted path keeps, the
+float-overflow test, still names the operation.
 """
 
+import ast
 import inspect
 import math
+import operator
+import pathlib
 import random
 
 import numpy as np
@@ -281,6 +285,74 @@ def test_every_dimension_entry_point_refuses_a_bad_n():
     assert KNOWN_DIMENSION_ENTRY_POINTS <= seen
 
 
+SPEC = grid.GridSpec(1, 4)
+F = grid.GridFunction(SPEC, [1, 2j, 3, 4j])
+VECTOR_FIELDS = {"k", "l", "p", "q"}  # given here as 1-vectors
+INTEGER_INPUTS = {
+    # id: (field, the call given the field's value, what the call keeps of it)
+    "GridSpec-N": ("N", lambda v: grid.GridSpec(1, v), operator.attrgetter("N")),
+    **{f"{name}-{field}": (field, build, operator.attrgetter(field))
+       for name, cls in [("LatticeElement", lattice.LatticeElement),
+                         ("QuantizedTriple", grid.QuantizedTriple)]
+       for field, build in [("k", lambda v, c=cls: c(v, (0,), 0)),
+                            ("l", lambda v, c=cls: c((0,), v, 0)),
+                            ("m", lambda v, c=cls: c((0,), (0,), v))]},
+    "GeneratorToken-index": ("index", lambda v: lattice.GeneratorToken("a", v, 1),
+                             operator.attrgetter("index")),
+    "GeneratorToken-exponent": ("exponent", lambda v: lattice.GeneratorToken("a", 1, v),
+                                operator.attrgetter("exponent")),
+    "apply_T-p": ("p", lambda v: grid.apply_T(v, F), lambda out: out.values.tobytes()),
+    "apply_U-q": ("q", lambda v: grid.apply_U(v, F), lambda out: out.values.tobytes()),
+    "weyl_alpha-p": ("p", lambda v: grid.weyl_alpha(v, (1,), SPEC), complex),
+    "weyl_alpha-q": ("q", lambda v: grid.weyl_alpha((1,), v, SPEC), complex),
+    "embed_integer-k": ("k", lambda v: core.embed_integer(v, (0,), 0), repr),
+    "embed_integer-l": ("l", lambda v: core.embed_integer((0,), v, 0), repr),
+    "embed_integer-m": ("m", lambda v: core.embed_integer((0,), (0,), v), repr),
+    "rep_check-trials": ("trials", lambda v: checks.rep_check(1, 4, v, 0), tuple),
+    "rep_check-seed": ("seed", lambda v: checks.rep_check(1, 4, 1, v), tuple),
+    "siegel_check-trials": ("trials", lambda v: checks.siegel_check(1, v, 0), tuple),
+    "siegel_check-seed": ("seed", lambda v: checks.siegel_check(1, 1, v), tuple),
+}
+
+
+def types(kept):
+    return tuple(map(type, kept)) if type(kept) is tuple else type(kept)
+
+
+@pytest.mark.parametrize("field, call, kept", INTEGER_INPUTS.values(), ids=INTEGER_INPUTS)
+def test_every_integer_input_takes_integers_only(field, call, kept):
+    """Every integer input goes through `errors.integer` or `errors.integers`:
+    numpy integers are taken and kept as ints, and a float, text or None is a
+    parameter error that names the field, never a TypeError, never read."""
+    vector = field in VECTOR_FIELDS
+    as_input = (lambda v: (v,)) if vector else (lambda v: v)
+    want = kept(call(as_input(2)))
+    for good in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = kept(call(as_input(good)))
+        assert got == want
+        assert types(got) == types(want)  # kept as ints, not numpy integers
+    for bad in (2.0, "2", None):
+        with pytest.raises(ParameterError) as info:
+            call(as_input(bad))
+        assert str(info.value) == (f"{field} must have integers as components, got {(bad,)!r}"
+                                   if vector else f"{field} must be an integer, got {bad!r}")
+
+
+def test_operator_index_is_called_only_in_errors():
+    """`errors.integer` and `errors.integers` are the one integer check."""
+    found = []
+    for path in sorted(pathlib.Path(errors.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "index"]
+    assert found == []
+
+
 def test_validators():
     assert errors.dimension(np.int64(3)) == 3 and type(errors.dimension(np.int64(3))) is int
     assert errors.finite_vector((x for x in (1, np.float32(0.5))), float) == (1.0, 0.5)
@@ -387,8 +459,8 @@ def test_grid_samples_take_every_numeric_kind_and_copy_once():
 @pytest.mark.parametrize("call, message", [
     (lambda: checks.rep_check(1, 4, 1.5, 0), "trials must be an integer, got 1.5"),
     (lambda: checks.siegel_check(1, "2", 0), "trials must be an integer, got '2'"),
-    (lambda: checks.siegel_check(1, 2, 1.5), "seed must be a non-negative integer, got 1.5"),
-    (lambda: checks.rep_check(1, 4, 1, "0"), "seed must be a non-negative integer, got '0'"),
+    (lambda: checks.siegel_check(1, 2, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: checks.rep_check(1, 4, 1, "0"), "seed must be an integer, got '0'"),
     (lambda: checks.siegel_check(1, 0, 0), "trials must be >= 1, got 0"),
     (lambda: checks.rep_check(1, 4, 1, -1), "seed must be a non-negative integer, got -1"),
 ], ids=["rep_check-trials", "siegel_check-trials", "siegel_check-seed", "rep_check-seed",

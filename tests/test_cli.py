@@ -174,16 +174,17 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", "error: commutator overflows the float range\n")
 
     @pytest.mark.parametrize("argv, code, error", [
-        (("eval", "--n", "1", "c^" + "9" * 5000), 2, "exponent has more than {} digits (at offset 2)"),
+        (("eval", "--n", "1", "c^" + "9" * 5000), 2,
+         "exponent has more than {} digits, the most Python converts (at offset 2)"),
         (("parse", "--n", "1", "a1^" + "9" * 4400), 2,
-         "exponent has more than {} digits (at offset 3)"),
+         "exponent has more than {} digits, the most Python converts (at offset 3)"),
         # b1^X a1^X = a1^X b1^X c^(X^2), and X^2 has 8000 digits
         (("eval", "--n", "1", "b1^{0} a1^{0}".format("9" * 4000)), 3,
-         "an integer coordinate has more than {} digits, the most Python prints"),
+         "an integer coordinate has more than {} digits, the most Python converts"),
         (("norm", "--n", "1", "b1^{0} a1^{0}".format("9" * 4000)), 3,
-         "a generator's exponent has more than {} digits, the most Python prints"),
+         "a generator's exponent has more than {} digits, the most Python converts"),
         (("rep-check", "--trials", "1", "--seed", "9" * 5000), 3,
-         "seed has more than {} digits, the most Python prints"),
+         "seed has more than {} digits, the most Python converts"),
     ], ids=["eval-literal", "parse-literal", "eval-output", "norm-output", "seed-option"])
     def test_integers_past_the_digit_limit(self, capsys, argv, code, error):
         """int() and str() convert at most sys.get_int_max_str_digits() digits:
@@ -195,7 +196,8 @@ class TestExitCodes:
         monkeypatch.setenv("HEIS_SEED", "+" + "9" * 5000)
         got = run(capsys, "siegel-check", "--n", "1", "--trials", "1")
         limit = sys.get_int_max_str_digits()
-        assert got == (3, "", f"error: seed has more than {limit} digits, the most Python prints\n")
+        assert got == (3, "", f"error: seed has more than {limit} digits, "
+                              f"the most Python converts\n")
 
     @pytest.mark.parametrize("argv, sign", [
         (("siegel-check", "--n"), ""), (("rep-check", "--N"), "-"), (("rep-check", "--trials"), " +"),

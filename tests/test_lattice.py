@@ -62,8 +62,8 @@ class TestParse:
         """int() converts at most sys.get_int_max_str_digits() digits; a longer
         literal is refused where it starts, and one at the limit is read."""
         limit = sys.get_int_max_str_digits()
-        with pytest.raises(WordSyntaxError, match=f"^{name} has more than {limit} digits "
-                                                  f"\\(at offset {offset}\\)$") as exc:
+        message = f"^{name} has more than {limit} digits, the most Python converts"
+        with pytest.raises(WordSyntaxError, match=f"{message} \\(at offset {offset}\\)$") as exc:
             lattice.parse_word(text.format("0" * limit + "1"), 1)
         assert exc.value.offset == offset
         assert lattice.parse_word(text.format("0" * (limit - 1) + "1"), 1).tokens
@@ -72,7 +72,7 @@ class TestParse:
         limit = sys.get_int_max_str_digits()
         big = lattice.GeneratorToken("c", 0, 10**limit)
         with pytest.raises(ParameterError, match=f"^a generator's exponent has more than {limit} "
-                                                 f"digits, the most Python prints$"):
+                                                 f"digits, the most Python converts$"):
             str(big)
         assert str(lattice.GeneratorToken("c", 0, 10**limit - 1)) == "c^" + "9" * limit
 
@@ -187,8 +187,12 @@ class TestInputContract:
     @pytest.mark.parametrize("k, l, m", [((2.7,), (1,), 0), (("3",), (1,), 0), ((1,), (2.0,), 0),
                                          ((1,), (1,), 2.5), ((1,), (1,), None)])
     def test_lattice_element_refuses_non_integers(self, k, l, m):
-        with pytest.raises(ParameterError, match="^k, l and m must be integers"):
+        """Each case has one bad field, and the message names it."""
+        with pytest.raises(ParameterError) as info:
             lattice.LatticeElement(k, l, m)
+        assert str(info.value) in (f"k must have integers as components, got {k!r}",
+                                   f"l must have integers as components, got {l!r}",
+                                   f"m must be an integer, got {m!r}")
 
     def test_lattice_element_takes_numpy_integers_as_ints(self):
         g = lattice.LatticeElement(tuple(np.array([3, -4], dtype=np.int32)),

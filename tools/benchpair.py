@@ -17,6 +17,8 @@ tie is no win), and the medians differ in the better direction by more than
 the distance between the parent's quartiles.  Each run's count of attempted
 units sits beside the metrics, in the same order as the runs, so a reader can
 tell whether a metric such as `peak_rss_mib` follows the number of units timed.
+`src_lines` records each checkout's total line count of `src/heis/*.py`, so
+that a change's growth or shrink sits next to its benchmark pairs.
 The file is rewritten after each pair, so an interrupted comparison keeps
 the pairs it finished.
 """
@@ -45,6 +47,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of `src/heis/*.py` in `checkout`, counted as `wc -l` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "heis").glob("*.py"))
 
 
 def summary(values: list) -> dict:
@@ -100,6 +107,7 @@ def main(argv=None) -> int:
                 f"{platform.python_version()}; times scaled to the nominal host by "
                 "perfbench/hostspeed.py",
         "pairs_alternated": "odd pairs run the parent first, even pairs the change first",
+        "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
     for workload in args.workload:
