@@ -26,7 +26,7 @@ import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import checks, core, errors, grid, lattice, siegel, textio
-from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError, trusted_output
+from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError
 
 
 class Verb(NamedTuple):
@@ -63,7 +63,7 @@ def _seed(args) -> int:
 
 def _reduce(args) -> str:
     red = core.coset_reduce(_real(args, args.elem))
-    gamma = trusted_output(lattice.LatticeElement, red.k, red.l, red.m)
+    gamma = lattice._element(red.k, red.l, red.m)
     return textio.format_lattice_element(gamma) + "\n" + textio.format_real_element(red.rep)
 
 
@@ -152,8 +152,8 @@ INTEGER = r"\s*[+-]?\d+\s*"  # int() refuses such text only past its digit limit
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on a usage error; here 2 means a literal did not parse
     def error(self, message):  # name int()'s digit limit, not the digits type=int echoes
-        message = re.sub(f"invalid int value: '{INTEGER}'",
-                         f"more than {sys.get_int_max_str_digits()} digits", message)
+        message = re.sub(f"(argument \\S+): invalid int value: '{INTEGER}'",
+                         lambda match: errors.digit_limit(match[1]), message)
         self.print_usage(sys.stderr)
         self.exit(64, f"error: {message}\n")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_triple,
-                     finite_vector, integer, integers, trusted_output)
+                     finite_vector, integer, integers)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -55,7 +55,15 @@ class RealElement:
     @staticmethod
     def identity(n: int) -> "RealElement":
         zeros = (0.0,) * dimension(n)
-        return trusted_output(RealElement, zeros, zeros, 0.0)
+        return _real(zeros, zeros, 0.0)
+
+
+def _real(x: tuple, y: tuple, t: float) -> RealElement:
+    """The RealElement (x, y, t), unchecked: its fields as `__init__` leaves them."""
+    obj = object.__new__(RealElement)
+    fields = obj.__dict__
+    fields["x"], fields["y"], fields["t"] = x, y, t
+    return obj
 
 
 def law(x: Sequence, y: Sequence, t, x2: Sequence, y2: Sequence, t2) -> Tuple:
@@ -78,12 +86,12 @@ def law_inverse(x: Sequence, y: Sequence, t) -> Tuple:
 
 def mul(g: RealElement, h: RealElement) -> RealElement:
     """Group product g h; the central slot picks up h.x . g.y."""
-    return finite_triple(RealElement, "product", *law(g.x, g.y, g.t, h.x, h.y, h.t))
+    return finite_triple(_real, "product", *law(g.x, g.y, g.t, h.x, h.y, h.t))
 
 
 def inverse(g: RealElement) -> RealElement:
     """The two-sided inverse (-x, -y, -t + x . y)."""
-    return finite_triple(RealElement, "inverse", *law_inverse(g.x, g.y, g.t))
+    return finite_triple(_real, "inverse", *law_inverse(g.x, g.y, g.t))
 
 
 def naive_inverse(g: RealElement) -> RealElement:
@@ -92,7 +100,7 @@ def naive_inverse(g: RealElement) -> RealElement:
     Not an inverse when x . y != 0: mul(g, naive_inverse(g)) = (0, 0, -x . y).
     Kept as a regression witness.  Negation cannot overflow.
     """
-    return trusted_output(RealElement, tuple(-c for c in g.x), tuple(-c for c in g.y), -g.t)
+    return _real(tuple([-c for c in g.x]), tuple([-c for c in g.y]), -g.t)
 
 
 @dataclass(frozen=True)
@@ -107,8 +115,8 @@ class Dilation:
 
 def dilate(d: Dilation, g: RealElement) -> RealElement:
     r = d.r
-    return finite_triple(RealElement, "dilation",
-                         tuple(r * c for c in g.x), tuple(r * c for c in g.y), r * r * g.t)
+    return finite_triple(_real, "dilation",
+                         tuple([r * c for c in g.x]), tuple([r * c for c in g.y]), r * r * g.t)
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,10 @@ def coset_reduce(g: RealElement) -> CosetReduction:
     if not math.isfinite(central):
         raise ParameterError(f"t + x . l overflows to {central} in coset reduction")
     m, rt = _frac_split(central)
-    return CosetReduction(k, l, m, trusted_output(RealElement, rx, ry, rt))
+    out = object.__new__(CosetReduction)  # the generated __init__ sets fields one call each
+    fields = out.__dict__
+    fields["k"], fields["l"], fields["m"], fields["rep"] = k, l, m, _real(rx, ry, rt)
+    return out
 
 
 def embed_integer(k: Sequence[int], l: Sequence[int], m: int) -> RealElement:
@@ -163,7 +174,12 @@ def embed_integer(k: Sequence[int], l: Sequence[int], m: int) -> RealElement:
     k, l, m = integers(k, "k"), integers(l, "l"), integer(m, "m")
     if not 0 < len(k) == len(l):
         raise DimensionError(f"k and l must have equal length n >= 1, got {len(k)} and {len(l)}")
+    return _embed(k, l, m)
+
+
+def _embed(k: tuple, l: tuple, m: int) -> RealElement:
+    """`embed_integer` on the checked ints of a `LatticeElement`."""
     try:
-        return trusted_output(RealElement, tuple(map(float, k)), tuple(map(float, l)), float(m))
+        return _real(tuple(map(float, k)), tuple(map(float, l)), float(m))
     except OverflowError:
         raise ParameterError("embedding overflows the float range") from None

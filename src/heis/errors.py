@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the library and the CLI, the validators
-of the public boundary, and the constructors of operation outputs.
+of the public boundary, and the overflow tests of operation outputs.
 
 Validation happens once, at the public boundary: the public constructors
 (`RealElement(...)`, `LatticeElement(...)`, `GridSpec(...)`, ...), the public
@@ -13,13 +13,15 @@ has one validator here, and no other code repeats its test:
 - `finite_scalar(v, convert, name)`: one finite number, such as a central
   coordinate, a dilation parameter or an operator's scalar.
 
-Operation outputs are built by `trusted_output`, which skips those checks.
-The groups are closed under their operations, so a float overflow is the one
-way such an output can be invalid: `finite_triple` ((x, y, t) outputs) and
-`finite_pair` ((vector, scalar) outputs) keep that one test.  They and
-`finite_vector` first test one sum, finite only if every term is (inf - inf
-is nan), and test each component only if it is not.  Fields are written into
-the instance `__dict__`: a frozen dataclass forbids attribute assignment only.
+Operation outputs skip those checks: each value type has one unchecked
+builder beside it (`core._real`, `lattice._element`, `siegel._complex`, ...)
+that writes every field by name into the instance `__dict__` (a frozen
+dataclass forbids attribute assignment only).  The groups are closed under
+their operations, so a float overflow is the one way such an output can be
+invalid: `finite_triple` ((x, y, t) outputs) and `finite_pair` ((vector,
+scalar) outputs) keep that one test, then call the builder they are given.
+They and `finite_vector` first test one sum, finite only if every term is
+(inf - inf is nan), and test each component only if it is not.
 """
 
 import cmath
@@ -95,10 +97,12 @@ def finite_vector(v, convert) -> tuple:
     (`float` or `complex`).  Text is refused, not read: parsing is the
     `textio` parsers' job."""
     try:
-        parts = tuple(v)
-        if not _PLAIN.issuperset(map(type, parts)) and any(isinstance(c, _TEXT) for c in parts):
-            raise TypeError  # text is refused like any other non-number
-        out = tuple(map(convert, parts))
+        out = tuple(v)
+        kinds = set(map(type, out))
+        if len(kinds) != 1 or convert not in kinds:  # a tuple all of `convert`'s type is kept
+            if not _PLAIN.issuperset(kinds) and any(issubclass(k, _TEXT) for k in kinds):
+                raise TypeError  # text is refused like any other non-number
+            out = tuple(map(convert, out))
     except (TypeError, ValueError):
         raise ParameterError(f"vector components must be numbers, got {v!r}") from None
     if not out:
@@ -124,33 +128,16 @@ def finite_scalar(v, convert, name: str, *, positive: bool = False):
     return out
 
 
-def trusted_output(cls, *parts):
-    """The dataclass `cls` with fields `parts`, built without validation.
-
-    Only for the outputs of operations on validated operands: each part must
-    already have the type and form the validating constructor would give it.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__match_args__, parts))
-    return obj
-
-
-def finite_triple(cls, operation: str, x: tuple, y: tuple, t: float):
-    """The `RealElement` `cls` (x, y, t) output by `operation` on finite operands,
-    built as by `trusted_output`.  A non-finite part can only be an overflow."""
+def finite_triple(build, operation: str, x: tuple, y: tuple, t: float):
+    """`build(x, y, t)`: the `RealElement` output by `operation` on finite
+    operands.  A non-finite part can only be an overflow."""
     if not cmath.isfinite(sum(x, sum(y, t))) and not all(map(cmath.isfinite, (*x, *y, t))):
         raise ParameterError(f"{operation} overflows the float range")
-    obj = object.__new__(cls)
-    fields = obj.__dict__
-    fields["x"], fields["y"], fields["t"] = x, y, t
-    return obj
+    return build(x, y, t)
 
 
-def finite_pair(cls, operation: str, v: tuple, s):
+def finite_pair(build, operation: str, v: tuple, s):
     """`finite_triple` for a (vector, scalar) output: `ComplexElement` or `SiegelPoint`."""
     if not cmath.isfinite(sum(v, s)) and not (all(map(cmath.isfinite, v)) and cmath.isfinite(s)):
         raise ParameterError(f"{operation} overflows the float range")
-    obj = object.__new__(cls)
-    fields, (vector, scalar) = obj.__dict__, cls.__match_args__
-    fields[vector], fields[scalar] = v, s
-    return obj
+    return build(v, s)

@@ -22,9 +22,9 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .core import RealElement, embed_integer, law, law_inverse
+from .core import RealElement, _embed, law, law_inverse
 from .errors import (DimensionError, ParameterError, WordSyntaxError, dimension, digit_limit,
-                     integer, integers, trusted_output)
+                     integer, integers)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,15 @@ class LatticeElement:
     @staticmethod
     def identity(n: int) -> "LatticeElement":
         zeros = _zeros(n)
-        return trusted_output(LatticeElement, zeros, zeros, 0)
+        return _element(zeros, zeros, 0)
+
+
+def _element(k: tuple, l: tuple, m: int) -> LatticeElement:
+    """The LatticeElement (k, l, m), unchecked: its fields as `__post_init__` leaves them."""
+    obj = object.__new__(LatticeElement)
+    fields = obj.__dict__
+    fields["k"], fields["l"], fields["m"] = k, l, m
+    return obj
 
 
 def _zeros(n: int) -> Tuple[int, ...]:
@@ -58,23 +66,23 @@ def _zeros(n: int) -> Tuple[int, ...]:
 
 def lmul(g: LatticeElement, h: LatticeElement) -> LatticeElement:
     """The H_n(R) group law restricted to integer triples."""
-    return trusted_output(LatticeElement, *law(g.k, g.l, g.m, h.k, h.l, h.m))
+    return _element(*law(g.k, g.l, g.m, h.k, h.l, h.m))
 
 
 def linverse(g: LatticeElement) -> LatticeElement:
-    return trusted_output(LatticeElement, *law_inverse(g.k, g.l, g.m))
+    return _element(*law_inverse(g.k, g.l, g.m))
 
 
 def embed(g: LatticeElement) -> RealElement:
     """The inclusion H_n(Z) -> H_n(R); a homomorphism by construction."""
-    return embed_integer(g.k, g.l, g.m)
+    return _embed(g.k, g.l, g.m)
 
 
 # --- generators -------------------------------------------------------------
 
 def gen_c(n: int) -> LatticeElement:
     zeros = _zeros(n)
-    return trusted_output(LatticeElement, zeros, zeros, 1)
+    return _element(zeros, zeros, 1)
 
 
 def token_element(tok: "GeneratorToken", n: int) -> LatticeElement:
@@ -97,9 +105,9 @@ def _power(tok: "GeneratorToken", n: int) -> LatticeElement:
     if tok.kind in ("a", "b"):
         step = tuple(e if i == tok.index - 1 else 0 for i in range(n))
         if tok.kind == "a":
-            return trusted_output(LatticeElement, step, zeros, 0)
-        return trusted_output(LatticeElement, zeros, step, 0)
-    return trusted_output(LatticeElement, zeros, zeros, e)
+            return _element(step, zeros, 0)
+        return _element(zeros, step, 0)
+    return _element(zeros, zeros, e)
 
 
 # --- words ------------------------------------------------------------------
@@ -156,6 +164,22 @@ class Word:
         return " ".join(str(tok) for tok in self.tokens)
 
 
+def _token(kind: str, index: int, exponent: int) -> GeneratorToken:
+    """The GeneratorToken, unchecked: its fields as `__init__` accepts them."""
+    obj = object.__new__(GeneratorToken)
+    fields = obj.__dict__
+    fields["kind"], fields["index"], fields["exponent"] = kind, index, exponent
+    return obj
+
+
+def _word(n: int, tokens: tuple) -> Word:
+    """The Word, unchecked: its fields as `__post_init__` leaves them."""
+    obj = object.__new__(Word)
+    fields = obj.__dict__
+    fields["n"], fields["tokens"] = n, tokens
+    return obj
+
+
 _TOKEN_RE = re.compile(r"([abc])([0-9]*)(\^(-?[0-9]+))?")
 
 
@@ -189,9 +213,9 @@ def parse_word(text: str, n: int) -> Word:
         if end < length and not text[end].isspace():
             raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
         if exponent != 0:
-            tokens.append(GeneratorToken(kind, index, exponent))
+            tokens.append(_token(kind, index, exponent))
         pos = end
-    return trusted_output(Word, n, tuple(tokens))
+    return _word(n, tuple(tokens))
 
 
 def _int(digits: str, name: str, offset: int) -> int:
@@ -205,7 +229,7 @@ def evaluate_word(w: Word) -> LatticeElement:
     """Left-to-right product of the token powers under the group law."""
     n = w.n
     zeros = (0,) * n
-    acc = trusted_output(LatticeElement, zeros, zeros, 0)
+    acc = _element(zeros, zeros, 0)
     for tok in w.tokens:
         acc = lmul(acc, _power(tok, n))
     return acc
@@ -217,13 +241,13 @@ def normal_form(g: LatticeElement) -> Word:
     tokens: List[GeneratorToken] = []
     for j, e in enumerate(g.k, start=1):
         if e != 0:
-            tokens.append(GeneratorToken("a", j, e))
+            tokens.append(_token("a", j, e))
     for j, e in enumerate(g.l, start=1):
         if e != 0:
-            tokens.append(GeneratorToken("b", j, e))
+            tokens.append(_token("b", j, e))
     if g.m != 0:
-        tokens.append(GeneratorToken("c", 0, g.m))
-    return trusted_output(Word, g.n, tuple(tokens))
+        tokens.append(_token("c", 0, g.m))
+    return _word(g.n, tuple(tokens))
 
 
 def normalize_word(w: Word) -> Word:

@@ -37,11 +37,10 @@ from typing import Sequence, Tuple
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
 from .errors import (DimensionError, ParameterError, dimension, finite_pair, finite_scalar,
-                     finite_vector, trusted_output)
+                     finite_vector)
 
 BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
-_conj = operator.methodcaller("conjugate")
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,25 @@ class ComplexElement:
 
     @staticmethod
     def identity(n: int) -> "ComplexElement":
-        return trusted_output(ComplexElement, (0j,) * dimension(n), 0.0)
+        return _complex((0j,) * dimension(n), 0.0)
+
+
+def _complex(z: tuple, t: float) -> ComplexElement:
+    """The ComplexElement (z, t), unchecked: its fields as `__init__` leaves them."""
+    obj = object.__new__(ComplexElement)
+    fields = obj.__dict__
+    fields["z"], fields["t"] = z, t
+    return obj
 
 
 def _cdot(a: Sequence, b: Sequence):
     """sum_j a_j conj(b_j)."""
-    return sum(map(operator.mul, a, map(_conj, b)), 0j)
+    return sum([x * y.conjugate() for x, y in zip(a, b)], 0j)
 
 
 def _norm2(v: Sequence):
     """|v|^2.  m * m overflows to inf, where abs(c) ** 2 would raise OverflowError."""
-    m = tuple(map(abs, v))
-    return sum(map(operator.mul, m, m))
+    return sum([m * m for m in map(abs, v)])
 
 
 def _cmul(z: Sequence, t, z2: Sequence, t2) -> Tuple:
@@ -91,7 +97,7 @@ def _height(w: Sequence, sigma):
 
 def _dilate(r, v: Sequence, s) -> Tuple:
     """(r v, r^2 s): the dilation of (z, t) and of (w, sigma) alike."""
-    return tuple(r * c for c in v), r * r * s
+    return tuple([r * c for c in v]), r * r * s
 
 
 def _compose_gap(z: Sequence, t, z2: Sequence, t2, w: Sequence, sigma, top) -> Tuple:
@@ -113,15 +119,15 @@ def _finite_max(*moduli: float) -> float:
 
 
 def cmul(g: ComplexElement, h: ComplexElement) -> ComplexElement:
-    if g.n != h.n:
+    if len(g.z) != len(h.z):
         raise DimensionError(f"dimension mismatch: {g.n} vs {h.n}")
-    return finite_pair(ComplexElement, "product", *_cmul(g.z, g.t, h.z, h.t))
+    return finite_pair(_complex, "product", *_cmul(g.z, g.t, h.z, h.t))
 
 
 def cinverse(g: ComplexElement) -> ComplexElement:
     """(-z, -t); exact here since sum z_j conj(z_j) is real.  Negation cannot
     overflow."""
-    return trusted_output(ComplexElement, tuple(-c for c in g.z), -g.t)
+    return _complex(tuple([-c for c in g.z]), -g.t)
 
 
 @dataclass(frozen=True)
@@ -138,6 +144,14 @@ class SiegelPoint:
     @property
     def n(self) -> int:
         return len(self.w)
+
+
+def _point(w: tuple, sigma: complex) -> SiegelPoint:
+    """The SiegelPoint (w, sigma), unchecked: its fields as `__init__` leaves them."""
+    obj = object.__new__(SiegelPoint)
+    fields = obj.__dict__
+    fields["w"], fields["sigma"] = w, sigma
+    return obj
 
 
 def height(p: SiegelPoint) -> float:
@@ -159,7 +173,7 @@ def act(g: ComplexElement, p: SiegelPoint) -> SiegelPoint:
     """The affine automorphism A_(z,t); preserves the height exactly."""
     if len(g.z) != len(p.w):
         raise DimensionError(f"dimension mismatch: {len(g.z)} vs {len(p.w)}")
-    return finite_pair(SiegelPoint, "action", *_act(g.z, g.t, p.w, p.sigma))
+    return finite_pair(_point, "action", *_act(g.z, g.t, p.w, p.sigma))
 
 
 def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> bool:
@@ -167,16 +181,16 @@ def act_compose_check(g: ComplexElement, g2: ComplexElement, p: SiegelPoint) -> 
 
     Componentwise comparison, relative to max(1, magnitudes involved).
     """
-    if not g.n == g2.n == p.n:
+    if not len(g.z) == len(g2.z) == len(p.w):
         raise DimensionError(f"dimension mismatch: {g.n} vs {g2.n} vs {p.n}")
     dev, scale = _compose_gap(g.z, g.t, g2.z, g2.t, p.w, p.sigma, _finite_max)
     return dev <= COMPOSE_TOL * scale
 
 
 def cdilate(d: ComplexDilation, g: ComplexElement) -> ComplexElement:
-    return finite_pair(ComplexElement, "dilation", *_dilate(d.r, g.z, g.t))
+    return finite_pair(_complex, "dilation", *_dilate(d.r, g.z, g.t))
 
 
 def domain_dilate(d: ComplexDilation, p: SiegelPoint) -> SiegelPoint:
     """Scales the height by exactly r^2, so preserves domain and boundary."""
-    return finite_pair(SiegelPoint, "dilation", *_dilate(d.r, p.w, p.sigma))
+    return finite_pair(_point, "dilation", *_dilate(d.r, p.w, p.sigma))

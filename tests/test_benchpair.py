@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -86,3 +87,61 @@ def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
                            str(tmp_path / "change"), "--workload", "cli-session", "--seed", "1",
                            "--pairs", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"parent": 7, "change": 6}
+
+
+CRITERION = "test_03_lattice_normal_form_oracle"
+
+
+def checkouts(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+
+
+def test_acceptance_pairs_alternate_and_record_call_seconds(tmp_path, monkeypatch):
+    """--test alone runs the criterion in a fresh pytest process per side and
+    pair, alternating which side goes first, and keeps the call phase only."""
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append(pathlib.Path(cwd).name)
+        assert cmd[1:3] == ["-m", "pytest"] and "--durations=0" in cmd
+        node = f"tests/test_acceptance.py::{CRITERION}"
+        assert node in cmd
+        call = {"parent": 3.0, "change": 2.0}[calls[-1]] + len(calls) / 100
+        out = (f".\n{'=' * 10} slowest durations {'=' * 10}\n{call:.2f}s call     {node}\n"
+               f"0.50s setup    {node}\n0.00s teardown {node}\n1 passed in 4.00s\n")
+        return subprocess.CompletedProcess(cmd, 0, out, "")
+
+    monkeypatch.setattr(benchpair.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert benchpair.main(checkouts(tmp_path) + ["--test", CRITERION, "--pairs", "10",
+                                                 "--out", str(out)]) == 0
+    assert calls == ["parent", "change", "change", "parent"] * 5
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {}
+    got = report["acceptance"][CRITERION]
+    assert got["pairs"] == 10 and got["unit"] == "s" and got["better"] == "lower"
+    assert got["runs"]["parent"][:2] == [3.01, 3.04] and got["runs"]["change"][:2] == [2.02, 2.03]
+    assert got["change_wins"] == "10/10" and got["gain_resolved"] is True
+    assert "bound" not in got
+
+
+def test_a_failing_criterion_stops_the_comparison(tmp_path, monkeypatch):
+    monkeypatch.setattr(benchpair.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 1, "F\n1 failed in 1.00s\n", ""))
+    with pytest.raises(SystemExit, match="exited 1"):
+        benchpair.main(checkouts(tmp_path) + ["--test", CRITERION, "--pairs", "1",
+                                              "--out", str(tmp_path / "bench.json")])
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "give at least one --workload or --test"),
+    (["--workload", "cli-session"], "--workload needs at least one --seed"),
+], ids=["nothing-to-run", "workload-without-seed"])
+def test_what_to_run_is_a_usage_error_when_missing(tmp_path, extra, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        benchpair.main(checkouts(tmp_path) + extra + ["--pairs", "1",
+                                                      "--out", str(tmp_path / "bench.json")])
+    assert info.value.code == 2 and message in capsys.readouterr().err

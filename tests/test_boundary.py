@@ -3,7 +3,9 @@
 Public constructors, the public functions that take a dimension, and the text
 parsers validate, each input kind through its one validator in `errors`;
 every operation output is built without re-running the validating
-constructor (errors.trusted_output, errors.finite_triple, errors.finite_pair).
+constructor, by its type's unchecked builder (core._real, lattice._element,
+siegel._complex, ...), through errors.finite_triple or errors.finite_pair
+where a float result may overflow.
 These tests pin both halves: every public entry point that takes a dimension n
 refuses a bad one the same way, every integer input takes integers only, text
 is never read as a number, an operation's output is exactly what the
@@ -13,6 +15,7 @@ float-overflow test, still names the operation.
 """
 
 import ast
+import dataclasses
 import inspect
 import math
 import operator
@@ -27,7 +30,9 @@ from heis.errors import DimensionError, ParameterError
 
 VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint,
               lattice.Word)
-COMPONENT_TYPES = (float, int, complex, lattice.GeneratorToken)  # a Word's are its tokens
+OUTPUT_TYPES = VALIDATING + (core.CosetReduction,)
+# a Word's components are its tokens, and a CosetReduction's rep is a RealElement
+COMPONENT_TYPES = (float, int, complex, lattice.GeneratorToken, core.RealElement)
 
 
 def operations(n, rng):
@@ -59,8 +64,9 @@ def operations(n, rng):
         ("core.inverse", lambda: core.inverse(g)),
         ("core.naive_inverse", lambda: core.naive_inverse(g)),
         ("core.dilate", lambda: core.dilate(d, g)),
-        ("core.coset_reduce", lambda: core.coset_reduce(g).rep),
+        ("core.coset_reduce", lambda: core.coset_reduce(g)),
         ("core.embed_integer", lambda: core.embed_integer(a.k, a.l, a.m)),
+        ("lattice.embed", lambda: lattice.embed(a)),
         ("RealElement.identity", lambda: core.RealElement.identity(n)),
         ("lattice.lmul", lambda: lattice.lmul(a, b)),
         ("lattice.linverse", lambda: lattice.linverse(a)),
@@ -122,20 +128,32 @@ def test_operations_do_not_revalidate(n, validations):
             assert validations[0] == 0, name
 
 
+def assert_rebuilt(out, name):
+    """`out` is what its type's constructor builds from its fields, down to
+    the type of every component, and so is each token or element it holds;
+    like a constructed value, it refuses assignment to a field."""
+    rebuilt = type(out)(*fields(out))
+    assert out == rebuilt and hash(out) == hash(rebuilt), name
+    assert repr(out) == repr(rebuilt), name  # tells -0.0 from 0.0
+    assert [type(v) for v in fields(out)] == [type(v) for v in fields(rebuilt)], name
+    assert [type(c) for c in components(out)] == [type(c) for c in components(rebuilt)], name
+    for part in components(out):
+        if isinstance(part, (lattice.GeneratorToken, core.RealElement)):
+            assert_rebuilt(part, name)
+    field = type(out).__match_args__[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(out, field, getattr(out, field))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_outputs_are_what_the_validating_constructor_builds(n):
     rng = random.Random(10 + n)
     for _ in range(20):
         for name, op in operations(n, rng):
             out = op()
-            assert type(out) in VALIDATING, name
-            rebuilt = type(out)(*fields(out))
-            assert out == rebuilt and hash(out) == hash(rebuilt), name
-            assert repr(out) == repr(rebuilt), name  # tells -0.0 from 0.0
-            assert [type(v) for v in fields(out)] == [type(v) for v in fields(rebuilt)], name
-            got = [type(c) for c in components(out)]
-            assert got == [type(c) for c in components(rebuilt)], name
-            assert all(t in COMPONENT_TYPES for t in got), name
+            assert type(out) in OUTPUT_TYPES, name
+            assert all(type(c) in COMPONENT_TYPES for c in components(out)), name
+            assert_rebuilt(out, name)
 
 
 def _real(x, y, t):
@@ -350,6 +368,20 @@ def test_operator_index_is_called_only_in_errors():
                 found.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and node.module == "operator":
                 found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "index"]
+    assert found == []
+
+
+def test_outputs_are_built_by_name():
+    """Every output builder writes its fields by name: no module calls the
+    generic `trusted_output` or reads a class's `__match_args__`."""
+    found = []
+    for path in sorted(pathlib.Path(errors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "trusted_output"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("trusted_output", "__match_args__")
+                    or isinstance(node, ast.alias) and node.name == "trusted_output"):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

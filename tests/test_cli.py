@@ -207,7 +207,8 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, sign + "9" * 5000)
         limit = sys.get_int_max_str_digits()
         assert (code, out) == (64, "")
-        assert err.endswith(f"\nerror: argument {argv[1]}: more than {limit} digits\n")
+        assert err.endswith(f"\nerror: argument {argv[1]} has more than {limit} digits, "
+                            f"the most Python converts\n")
         assert "999" not in err
 
     @pytest.mark.parametrize("n", ["3000", "4000"])

@@ -1,4 +1,6 @@
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,3 +174,59 @@ class TestDilations:
             scale = max(1.0, abs(lhs.sigma))
             assert abs(lhs.w[0] - rhs.w[0]) <= 1e-10 * scale
             assert abs(lhs.sigma - rhs.sigma) <= 1e-10 * scale
+
+
+# --- the kernels, pinned to the formulas they had as chains of `map` ------------
+
+def old_cdot(a, b):
+    return sum(map(operator.mul, a, map(operator.methodcaller("conjugate"), b)), 0j)
+
+
+def old_norm2(v):
+    m = tuple(map(abs, v))
+    return sum(map(operator.mul, m, m))
+
+
+def old_dilate(r, v, s):
+    return tuple(r * c for c in v), r * r * s
+
+
+SUB = 5e-324  # the smallest subnormal
+SCALAR_VECTORS = [
+    (-0.0,), (complex(-0.0, -0.0), complex(0.0, -0.0)), (-0.0, complex(-0.0, 0.0), 0.0),
+    (SUB, -SUB, complex(SUB, -SUB)), (2.2e-308, complex(-1e-310, 3e-320)),
+    (1e200, -1e300), (complex(1e160, -1e160), 1e300j, 3.0),  # squares overflow to inf
+    (complex(1e308, 1e308), complex(-1e308, 1e308)), (1.5, -2.5j, complex(0.1, -0.3)),
+    (1.0, 1e-8, complex(1e-8, 1e-8)), (1.0, 1e-8j, -1e-8),  # sums that depend on their order
+]
+
+
+def _arrays(rng, n):
+    """A kernel's block: n arrays of complex128, one value per trial, mixing
+    -0.0, subnormals, components whose squares overflow and normal values
+    of many magnitudes, whose sums depend on their order."""
+    special = np.array([-0.0, SUB, -SUB, 2.2e-308, 1e200, -1e300, 1e308, 0.0, 1.0, -3.5])
+    return tuple(rng.choice(special, 24) + 1j * rng.choice(special, 24)
+                 + rng.standard_normal(24) * 10.0 ** rng.integers(-9, 9, 24) for _ in range(n))
+
+
+def _same(a, b) -> bool:
+    """Bit for bit: equal types and bytes, so -0.0 differs from 0.0 and nan matches nan."""
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def test_kernels_keep_the_map_formulas_bit_for_bit():
+    rng = np.random.default_rng(5)
+    blocks = [_arrays(rng, n) for n in (1, 2, 3)]
+    cases = [(a, b) for a in SCALAR_VECTORS for b in SCALAR_VECTORS if len(a) == len(b)]
+    cases += [(a, b[::-1]) for a in blocks for b in blocks if len(a) == len(b)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in cases:
+            assert _same(siegel._cdot(a, b), old_cdot(a, b)), (a, b)
+            assert _same(siegel._norm2(a), old_norm2(a)), a
+            for r in (0.5, 1e200, SUB):
+                assert _same(siegel._dilate(r, a, b[0]), old_dilate(r, a, b[0])), (r, a)

@@ -3,7 +3,7 @@
 
     python3 tools/benchpair.py --parent DIR --change DIR \\
         --workload cli-session --workload grid-weyl --seed 11 --seed 23 \\
-        --pairs 10 --out BENCH_8.json
+        --test test_03_lattice_normal_form_oracle --pairs 10 --out BENCH_8.json
 
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, on the same
 workload and seed, for the run length BENCHMARK.json fixes.  Pair i (from 1)
@@ -19,6 +19,13 @@ units sits beside the metrics, in the same order as the runs, so a reader can
 tell whether a metric such as `peak_rss_mib` follows the number of units timed.
 `src_lines` records each checkout's total line count of `src/heis/*.py`, so
 that a change's growth or shrink sits next to its benchmark pairs.
+
+Each `--test ID` names a criterion of `tests/test_acceptance.py`.  Pair i runs
+it once in each checkout, each time in a fresh `python -m pytest` process, in
+the same alternating order, and records the call-phase seconds that pytest's
+`--durations` reports (unscaled, to its 0.01 s resolution).  Per criterion,
+`acceptance` holds the same spread, pair wins and `gain_resolved` as a
+workload metric, with no bound: it is a reading, not a gate.
 The file is rewritten after each pair, so an interrupted comparison keeps
 the pairs it finished.
 """
@@ -29,6 +36,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -49,6 +57,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def run_test(checkout: Path, test: str) -> float:
+    """The call-phase seconds of acceptance criterion `test`, run in a fresh
+    pytest process in `checkout`."""
+    node = f"tests/test_acceptance.py::{test}"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node,
+           "--durations=0", "--durations-min=0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
+    call = re.search(rf"^([0-9.]+)s call +{re.escape(node)}$", proc.stdout, re.MULTILINE)
+    if proc.returncode != 0 or call is None:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return float(call[1])
+
+
 def src_lines(checkout: Path) -> int:
     """The lines of `src/heis/*.py` in `checkout`, counted as `wc -l` does."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "heis").glob("*.py"))
@@ -61,41 +83,56 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(spec: dict, runs: dict) -> dict:
-    """One metric of one workload: both sides' spread and the verdict."""
+def verdict(unit: str, better: str, runs: dict) -> dict:
+    """One reading's paired runs: both sides' spread, the pairs the change
+    won and whether it resolves a gain."""
     parent, change = summary(runs["parent"]), summary(runs["change"])
-    relative = (change["median"] - parent["median"]) / parent["median"]
-    sign = 1 if spec["better"] == "higher" else -1
+    sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(runs["parent"], runs["change"]))
     pairs, parent_iqr = len(runs["parent"]), parent["q3"] - parent["q1"]
     return {
-        "unit": spec["unit"],
-        "better": spec["better"],
+        "unit": unit,
+        "better": better,
         "parent": parent,
         "change": change,
-        "relative_change": relative,
+        # null for a reading at 0, as a criterion under 0.005 s reads
+        "relative_change": ((change["median"] - parent["median"]) / parent["median"]
+                            if parent["median"] else None),
         "change_wins": f"{wins}/{pairs}",
         "parent_iqr": parent_iqr,
         "gain_resolved": (pairs >= 10 and 10 * wins >= 9 * pairs
                           and sign * (change["median"] - parent["median"]) > parent_iqr),
-        "bound": spec["bound"],
-        "within_bound": sign * relative >= -spec["bound"],
         "runs": runs,
     }
+
+
+def compare(spec: dict, runs: dict) -> dict:
+    """One metric of one workload: `verdict`, and whether the change stays
+    inside the metric's bound from BENCHMARK.json."""
+    out = verdict(spec["unit"], spec["better"], runs)
+    sign = 1 if spec["better"] == "higher" else -1
+    return {**out, "bound": spec["bound"],
+            "within_bound": sign * out["relative_change"] >= -spec["bound"]}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", action="append", required=True, help="repeatable")
-    parser.add_argument("--seed", type=int, action="append", required=True,
-                        help="repeatable; pair i takes the i-th, cycling")
+    parser.add_argument("--workload", action="append", default=[], help="repeatable")
+    parser.add_argument("--seed", type=int, action="append", default=[],
+                        help="repeatable; pair i takes the i-th, cycling; needed by --workload")
+    parser.add_argument("--test", action="append", default=[],
+                        help="a tests/test_acceptance.py criterion to time; repeatable")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if not args.workload and not args.test:
+        parser.error("give at least one --workload or --test")
+    if args.workload and not args.seed:
+        parser.error("--workload needs at least one --seed")
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
@@ -110,6 +147,10 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
+    if args.test:
+        report["acceptance_command"] = ("python -m pytest -q -p no:cacheprovider tests/"
+                                        "test_acceptance.py::ID --durations=0 --durations-min=0")
+        report["acceptance"] = {}
     for workload in args.workload:
         results = {side: [] for side in SIDES}
         seeds = []
@@ -131,6 +172,15 @@ def main(argv=None) -> int:
                     side: [r["metrics"][spec["name"]]["value"] for r in results[side]]
                     for side in SIDES}) for spec in specs},
             }
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for test in args.test:
+        times = {side: [] for side in SIDES}
+        for i in range(args.pairs):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                times[side].append(run_test(checkouts[side], test))
+                print(f"{test} pair {i + 1}/{args.pairs} {side}: {times[side][-1]} s",
+                      file=sys.stderr)
+            report["acceptance"][test] = {"pairs": i + 1, **verdict("s", "lower", times)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
