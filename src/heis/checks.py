@@ -23,10 +23,10 @@ the bit generator.  So the samples depend on the block size: a block of one
 trial (N^n > BLOCK_VALUES / 2) draws as trial-by-trial calls do, and the
 first trial's integers are the first draws at every size.  Replaying trial
 K means redrawing every block up to the one that holds K.  rep-check runs
-each block through `grid._monomial` as stacks, each operator computed once:
-both orientations of the Weyl relation, the homomorphism and the inverse,
-each product the one the scalar operators form.  The kernel check reads the
-operators' integer data, O(N^n + N).
+each block through `grid._monomial` as stacks, each operator's phases read
+once and applied by `grid._apply`, the one formula `grid.rep` applies: both
+orientations of the Weyl relation, the homomorphism and the inverse.  The
+kernel check reads the operators' integer data, O(N^n + N).
 
 siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
@@ -105,31 +105,33 @@ def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
 
 def _rep_deviations(spec: grid.GridSpec, ints: np.ndarray, f: np.ndarray) -> Tuple[float, ...]:
     """The largest Weyl-relation, homomorphism and inverse deviations over a
-    block of trials, each operator one `grid._monomial` stack.  Every product
-    is the one the scalar operators form, in the same order, so each trial's
-    deviations keep the bytes of applying `grid.rep` to it alone."""
+    block of trials, each operator one `grid._monomial` stack applied by
+    `grid._apply`, the formula `grid.rep` applies, so each trial's deviations
+    keep the bytes of applying `grid.rep` to it alone."""
     n, N = spec.n, spec.N
     roots = grid._tables(n, N)[0]
     # one component per column, shaped (B,) + (1,) * n to broadcast against the grid
     cols = ints.reshape(ints.shape + (1,) * n)
     p, q, p2, q2 = (tuple(cols[:, k + a] for a in range(n)) for k in (0, n, 2 * n + 1, 3 * n + 1))
     g, g2 = (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1])
-    rep_g = grid._monomial(*g, spec)
+
+    def rep(p, q, s):  # the stack rep(p, q, s) as `grid._apply` takes it
+        move, exponent, central = grid._monomial(p, q, s, spec)
+        return move, roots[exponent], roots[central]
 
     # U T = T U C_alpha, and the reverse orientation with conj(alpha)
-    move, phases = rep_g[0], roots[rep_g[1]]
+    rep_g = move, phases, _ = rep(*g)
     alpha = roots[sum(map(operator.mul, q, p)) % N]
     ut = phases * f.take(move)
-    weyl = max(_max_dev(ut, (phases * (alpha * f)).take(move)),
-               _max_dev((phases * f).take(move), alpha.conj() * ut))
-    del ut, phases  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
+    weyl = max(_max_dev(ut, grid._apply(move, phases, alpha, f)),
+               _max_dev(grid._apply(move, phases, 1, f), alpha.conj() * ut))
+    del ut  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
 
-    direct = grid._apply(grid._monomial(*core.law(*g, *g2), spec), f, spec)
-    composed = grid._apply(rep_g, grid._apply(grid._monomial(*g2, spec), f, spec), spec)
+    direct = grid._apply(*rep(*core.law(*g, *g2)), f)
+    composed = grid._apply(*rep_g, grid._apply(*rep(*g2), f))
     hom = _max_dev(composed, direct)
     del direct, composed
-    undone = grid._apply(grid._monomial(*core.law_inverse(*g), spec),
-                         grid._apply(rep_g, f, spec), spec)
+    undone = grid._apply(*rep(*core.law_inverse(*g)), grid._apply(*rep_g, f))
     return weyl, hom, _max_dev(undone, f)
 
 

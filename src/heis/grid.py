@@ -30,11 +30,12 @@ diagonal is roots[(q . j) mod N], and alpha and the central phase are
 roots[(q . p) mod N] and roots[s mod N].  The tables hold O(N) numbers and
 are cached for at most 16 sizes (n, N).  The scalar operators `apply_T`,
 `apply_U` and `rep` also read T_p's source index and U_q's phases from a
-cache keyed by (n, N) and the residues of p or q mod N.  It holds at most
-2 MiB, drops its oldest entries first and never holds a larger array.
-An operator multiplies by alpha, then by the phases, then gathers, one
-function or a stack alike, so both give the same bytes.  `rep` fixes its
-operator's scalar, phases and source index once, when it is built.
+cache keyed by (n, N) and the residues of p or q mod N, which a lookup tries
+after the caller's vector as given.  It holds at most 2 MiB, drops its
+oldest entries first and never holds a larger array.  One formula, `_apply`,
+multiplies by alpha, then by the phases, then gathers, for `rep`'s one
+function and rep-check's stacks alike, so both give the same bytes.  `rep`
+fixes its operator's scalar, phases and source index once, when it is built.
 
 A central-difference directional derivative and a coordinate multiplication
 operator are also provided, with a measured commutator defect against the
@@ -111,9 +112,9 @@ class GridFunction:
         if arr.shape != spec.shape:
             raise DimensionError(f"values have shape {arr.shape}, expected {spec.shape}")
         arr = arr.astype(np.complex128, order="C")  # the one copy, owned here
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ParameterError("grid samples must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self.spec, self.values = spec, arr
 
     @classmethod
@@ -195,13 +196,15 @@ _operator_lock = threading.Lock()
 
 def _operator(kind: str, v: Tuple[int, ...], spec: GridSpec) -> np.ndarray:
     """T_v's source index (kind "T") or U_v's phases (kind "U"), built once per
-    residue vector and kept while at most _CACHE_BYTES are cached, dropping the
-    oldest entries first.  An array larger than the bound is not cached."""
+    residue vector, looked up as given before it is reduced, and kept while at most
+    _CACHE_BYTES are cached, oldest dropped first.  A larger array is not cached."""
     global _operator_bytes
     n, N = spec.n, spec.N
-    v = tuple([a % N for a in v])
-    key = (n, N, kind, v)
-    arr = _operators.get(key)
+    arr = _operators.get((n, N, kind, v))
+    if arr is None:
+        v = tuple([a % N for a in v])
+        key = (n, N, kind, v)
+        arr = _operators.get(key)
     if arr is None:
         roots, axes = _tables(n, N)
         arr = _source(v, N, axes) if kind == "T" else roots[_exponent(v, N, axes)]
@@ -231,13 +234,12 @@ def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
     return move, _exponent(q, N, axes), s % N
 
 
-def _apply(data: Tuple, values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The operator of `_monomial` data on values: one function for int
-    components, a stack of B functions for stacked ones.  Alpha times the
-    values, then the phases, then the gather, as in `rep`."""
-    move, exponent, central = data
-    roots = _tables(spec.n, spec.N)[0]
-    return (roots[exponent] * (roots[central] * values)).take(move)
+def _apply(move: np.ndarray, phases, alpha, values: np.ndarray) -> np.ndarray:
+    """The one operator formula, T_p o U_q o C_alpha: alpha times the values, then
+    U_q's phases, then T_p's gather at `move`, for `rep`'s one function or
+    rep-check's stack.  np.multiply, not `*`: numpy may reuse a large temporary
+    with the factors swapped, which moves fused products' last bits by size."""
+    return np.multiply(phases, alpha * values).take(move)
 
 
 def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:
@@ -301,7 +303,7 @@ def rep(g: LatticeElement, spec: GridSpec) -> Callable[[GridFunction], GridFunct
     def operator(f: GridFunction) -> GridFunction:
         if f.spec is not spec and f.spec != spec:
             raise DimensionError("grid functions live on different grids")
-        return GridFunction._wrap(spec, (phases * (alpha * f.values)).take(index))
+        return GridFunction._wrap(spec, _apply(index, phases, alpha, f.values))
 
     return operator
 

@@ -474,6 +474,22 @@ def test_grid_samples_are_numbers_only(values):
         grid.GridFunction(grid.GridSpec(1, 2), values)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_grid_samples_must_be_finite(n, bad, part):
+    """A NaN or an infinity in either part of the first, a middle or the last
+    sample is refused by name; the same samples without it are taken."""
+    spec = grid.GridSpec(n, 4)
+    size = spec.N**n
+    for at in (0, size // 2, size - 1):
+        values = np.full(size, 1.0 + 2.0j)
+        grid.GridFunction(spec, values.reshape(spec.shape))
+        values[at] = complex(bad, 2.0) if part == "real" else complex(1.0, bad)
+        with pytest.raises(ParameterError, match="^grid samples must be finite$"):
+            grid.GridFunction(spec, values.reshape(spec.shape))
+
+
 def test_grid_samples_take_every_numeric_kind_and_copy_once():
     spec = grid.GridSpec(2, 2)
     for values in ([True, False, True, False], np.arange(4, dtype=np.uint8),

@@ -173,6 +173,12 @@ class TestExitCodes:
             code, out, err = run(capsys, "commutator", "--in", str(src))
         assert (code, out, err) == (3, "", "error: commutator overflows the float range\n")
 
+    def test_commutator_in_file_infinite_sample(self, capsys, tmp_path):
+        src = tmp_path / "f.txt"
+        src.write_text("1 8\n" + "0.5 0\n" * 3 + "inf 0\n" + "0.5 0\n" * 4)
+        code, out, err = run(capsys, "commutator", "--in", str(src))
+        assert (code, out, err) == (3, "", "error: grid samples must be finite\n")
+
     @pytest.mark.parametrize("argv, code, error", [
         (("eval", "--n", "1", "c^" + "9" * 5000), 2,
          "exponent has more than {} digits, the most Python converts (at offset 2)"),

@@ -380,6 +380,13 @@ class TestMonomialKernel:
                 tuple(q[:, a].reshape(shape) for a in range(n)), s.reshape(shape))
 
     @staticmethod
+    def apply(data, values, spec):
+        """`grid._apply` on `_monomial` data, its phases read as rep-check reads them."""
+        move, exponent, central = data
+        roots = grid._tables(spec.n, spec.N)[0]
+        return grid._apply(move, roots[exponent], roots[central], values)
+
+    @staticmethod
     def assert_formula(spec, source, exponent, central, p, q, s):
         n, N = spec.n, spec.N
         j = np.indices(spec.shape)
@@ -411,11 +418,11 @@ class TestMonomialKernel:
         rng = np.random.default_rng(n * N)
         shape = (len(triples),) + spec.shape
         fs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = grid._apply(grid._monomial(*self.stack(triples, n), spec), fs, spec)
+        out = self.apply(grid._monomial(*self.stack(triples, n), spec), fs, spec)
         for b, (p, q, s) in enumerate(triples):
             want = grid.rep(grid.QuantizedTriple(p, q, s), spec)(grid.GridFunction(spec, fs[b]))
             assert out[b].tobytes() == want.values.tobytes(), (p, q, s)
-            one = grid._apply(grid._monomial(p, q, s, spec), fs[b], spec)
+            one = self.apply(grid._monomial(p, q, s, spec), fs[b], spec)
             assert one.tobytes() == want.values.tobytes(), (p, q, s)
 
     @pytest.mark.parametrize("n,N", [(1, 2), (1, 5), (2, 2), (2, 5)])
@@ -485,6 +492,15 @@ class TestOperatorCache:
             outs = [apply(w, f).values for w in same]
             assert all(np.array_equal(out, outs[0]) for out in outs)
         assert sorted(cold_cache) == [(n, N, "T", (3, 5)), (n, N, "U", (3, 5))]
+        # a lookup tries the vector as given, then its residues: one array either way
+        twins = [(3, 5), (3 + N, 5), (3, 5 + N), (3 - N, 5 - N), (3 + 2 * N, 5 - 3 * N)]
+        for kind in ("T", "U"):
+            arrays = [grid._operator(kind, w, spec) for w in twins]
+            assert all(arr is cold_cache[(n, N, kind, (3, 5))] for arr in arrays)
+        grid.rep(grid.QuantizedTriple((-1, N), (2 * N, -N - 4), 0), spec)
+        assert all(0 <= a < N for *_, vec in cold_cache for a in vec)
+        assert len(cold_cache) == 4
+        assert grid._operator_bytes == sum(arr.nbytes for arr in cold_cache.values())
 
     @pytest.mark.parametrize("n,N", [(1, 8), (2, 5), (3, 4)])
     def test_modulation_bytes_cold_and_cached(self, cold_cache, n, N):

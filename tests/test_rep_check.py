@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from heis import checks, grid
+from heis import checks, cli, grid
 
 SEEDS = (0, 5, 11, 271828)
 SIZES = [(n, N) for n in (1, 2, 3) for N in (2, 5, 16, 1000) if N**n <= grid.MAX_GRID_POINTS]
@@ -70,9 +70,9 @@ def kernel_inputs(monkeypatch):
             stacks.append(_triples(p, q, s))
         return monomial(p, q, s, spec)
 
-    def spy_apply(data, values, spec):
+    def spy_apply(move, phases, alpha, values):
         samples.append(values)
-        return apply(data, values, spec)
+        return apply(move, phases, alpha, values)
 
     monkeypatch.setattr(grid, "_monomial", spy_monomial)
     monkeypatch.setattr(grid, "_apply", spy_apply)
@@ -181,6 +181,20 @@ def test_shift_in_the_wrong_direction_fails(monkeypatch):
     for label in ("max weyl-relation deviation", "max homomorphism deviation",
                   "max inverse deviation"):
         assert float(_report_value(text, label)) > checks.REP_TOL, label
+
+
+def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
+    """Gathering before the phases applies U_q o T_p o C, not T_p o U_q o C.
+    `grid.rep` and rep-check apply the one formula `grid._apply`, so a mutant
+    of it changes the operator callers get and the verb exits 4."""
+    spec, g = grid.GridSpec(1, 8), grid.QuantizedTriple((3,), (5,), 1)
+    f = grid.GridFunction(spec, np.arange(8))
+    before = grid.rep(g, spec)(f).values
+    monkeypatch.setattr(grid, "_apply",
+                        lambda move, phases, alpha, values: phases * (alpha * values).take(move))
+    assert not np.allclose(grid.rep(g, spec)(f).values, before)
+    assert cli.main(["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]) == 4
+    assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
 @pytest.mark.parametrize("n, N", [(1, 2**16), (2, 256)])
