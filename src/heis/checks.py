@@ -122,7 +122,8 @@ def _rep_deviations(spec: grid.GridSpec, ints: np.ndarray, f: np.ndarray) -> Tup
     # U T = T U C_alpha, and the reverse orientation with conj(alpha)
     rep_g = move, phases, _ = rep(*g)
     alpha = roots[sum(map(operator.mul, q, p)) % N]
-    ut = phases * f.take(move)
+    ut = f.take(move)
+    np.multiply(phases, ut, out=ut)  # apply_U's factor order at any size, as in `grid._apply`
     weyl = max(_max_dev(ut, grid._apply(move, phases, alpha, f)),
                _max_dev(grid._apply(move, phases, 1, f), alpha.conj() * ut))
     del ut  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points

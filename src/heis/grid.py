@@ -235,11 +235,11 @@ def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
 
 
 def _apply(move: np.ndarray, phases, alpha, values: np.ndarray) -> np.ndarray:
-    """The one operator formula, T_p o U_q o C_alpha: alpha times the values, then
-    U_q's phases, then T_p's gather at `move`, for `rep`'s one function or
-    rep-check's stack.  np.multiply, not `*`: numpy may reuse a large temporary
-    with the factors swapped, which moves fused products' last bits by size."""
-    return np.multiply(phases, alpha * values).take(move)
+    """T_p o U_q o C_alpha on `rep`'s one function or rep-check's stack: alpha
+    times the values, then U_q's phases, multiplied in this order at any size
+    (`*` swaps the factors into a temporary of 256 KiB or more), then the gather."""
+    scaled = alpha * values
+    return np.multiply(phases, scaled, out=scaled).take(move)
 
 
 def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:

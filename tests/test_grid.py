@@ -411,6 +411,20 @@ class TestMonomialKernel:
             # a stack's source indexes the flattened stack: trial b starts at b N^n
             self.assert_formula(spec, move[b] - b * N**n, exponent[b], central[b], p, q, s)
 
+    @pytest.mark.parametrize("n,N", [(1, 2**14), (2, 128)])
+    def test_rep_bytes_do_not_depend_on_the_size(self, n, N):
+        """At 2^14 points, where numpy's `*` reuses a 256 KiB temporary with its
+        factors swapped, rep gives the bytes of its formula on small pieces."""
+        spec = grid.GridSpec(n, N)
+        f = random_f(spec, seed=N)
+        p, q, s = (3,) * n, (N - 5,) * n, 7
+        out = grid.rep(grid.QuantizedTriple(p, q, s), spec)(f).values
+        index, phases = grid._operator("T", p, spec), grid._operator("U", q, spec)
+        alpha = complex(grid._tables(n, N)[0][s])
+        pieces = [u * (alpha * v) for u, v in zip(np.split(phases.ravel(), 64),
+                                                  np.split(f.values.ravel(), 64))]
+        assert out.tobytes() == np.concatenate(pieces).reshape(spec.shape).take(index).tobytes()
+
     @pytest.mark.parametrize("n,N", SIZES)
     def test_stack_is_rep_byte_for_byte(self, n, N):
         spec = grid.GridSpec(n, N)

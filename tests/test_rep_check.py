@@ -197,6 +197,31 @@ def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
+@pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128)])
+def test_a_large_trial_is_the_scalar_operators(n, N):
+    """At 2^14 points a sample function fills 256 KiB, where numpy's `*` reuses a
+    temporary with its factors swapped.  A one-trial block's deviations still
+    keep the bytes of the scalar operators' products and `max_abs_diff`."""
+    spec = grid.GridSpec(n, N)
+    ints, f = next(checks._rep_blocks(np.random.default_rng(3), spec, 1))
+    g, g2 = (grid.QuantizedTriple(tuple(int(v) for v in ints[0, k:k + n]),
+                                  tuple(int(v) for v in ints[0, k + n:k + 2 * n]), int(ints[0, k + 2 * n]))
+             for k in (0, 2 * n + 1))
+    F = grid.GridFunction(spec, f[0])
+
+    def rep(g):
+        return grid.rep(g, spec)
+
+    p, q = g.k, g.l
+    alpha = grid.weyl_alpha(p, q, spec)
+    ut = grid.apply_U(q, grid.apply_T(p, F))
+    weyl = max(ut.max_abs_diff(rep(grid.QuantizedTriple(p, q, sum(a * b for a, b in zip(q, p))))(F)),
+               rep(grid.QuantizedTriple(p, q, 0))(F).max_abs_diff(grid.apply_C(alpha.conjugate(), ut)))
+    hom = rep(g)(rep(g2)(F)).max_abs_diff(rep(grid.triple_mul(g, g2))(F))
+    inverse = rep(grid.triple_inverse(g))(rep(g)(F)).max_abs_diff(F)
+    assert checks._rep_deviations(spec, ints, f) == (weyl, hom, inverse)
+
+
 @pytest.mark.parametrize("n, N", [(1, 2**16), (2, 256)])
 def test_large_grids_pass_in_seconds(n, N):
     """The kernel check reads integer data, O(N^n + N), where a basis sweep
