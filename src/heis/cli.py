@@ -10,9 +10,10 @@ One verb per library operation, stable text grammars, and fixed exit codes:
     64  unknown verb / usage error (missing, unknown or ill-typed argument)
 
 Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
-and its dispatch are all built from that entry.  A verb's parser is built on
-its first use and reused by every later call in the process; parsing leaves
-it unchanged, and the environment (HEIS_SEED, COLUMNS) is read at call time.
+and its dispatch are all built from that entry.  Plain argv (see `_read`) is
+read straight from `VERBS`; a verb's parser is built only for help, usage
+errors and the shapes it alone reads, once per process, and parsing leaves
+it unchanged.  The environment (HEIS_SEED, COLUMNS) is read at call time.
 Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
 
@@ -31,7 +32,8 @@ from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxErr
 
 class Verb(NamedTuple):
     summary: str
-    # (flag or positional name, argparse add_argument keywords with a metavar)
+    # (flag or positional name, add_argument keywords: a metavar, and of the
+    # rest only help, type, required, default and dest, which `_read` reads too)
     args: Tuple[Tuple[str, dict], ...]
     # the verb on its parsed arguments: output text, or a check's (report, ok)
     run: Callable[[argparse.Namespace], Union[str, Tuple[str, bool]]]
@@ -157,6 +159,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(64, f"error: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 reads a value `--` as []: `--opt=--` lacks its value as
+        # `--opt --` does, and a positional `--` after the first is the text
+        if arg_strings == ["--"]:
+            if action.option_strings:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return "--"
+        return super()._get_values(action, arg_strings)
+
 
 @functools.cache  # at most one parser per verb in VERBS
 def _verb_parser(verb: str) -> _Parser:
@@ -169,13 +180,46 @@ def _verb_parser(verb: str) -> _Parser:
     return p
 
 
+def _read(verb: str, argv: List[str]) -> Optional[argparse.Namespace]:
+    """What `_verb_parser(verb).parse_args(argv)` returns, read straight from
+    VERBS, or None unless argv has the plain shape: each declared option at
+    most once, as `--opt V` or `--opt=V`, exactly the declared positionals,
+    and an optional `--` with a token after it.  argparse reads any other
+    argv, and alone prints help and usage errors."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    if end == len(argv) - 1 or "--" in argv[end + 1:]:
+        return None  # Python 3.11 may refuse a trailing `--`, and read a value `--` as []
+    declared, given, plain, tokens = dict(VERBS[verb].args), {}, [], iter(argv[:end])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name.startswith("--") and name in declared and name not in given:
+            token = given[name] = value if eq else next(tokens, "--")
+        else:
+            plain.append(token)
+        if token.startswith("-") and not NEGATIVE_NUMBER.match(token):
+            return None  # help, an unknown, prefixed or repeated option, or a missing value
+    names = [name for name in declared if not name.startswith("-")]
+    plain += argv[end + 1:]
+    if len(plain) != len(names):
+        return None
+    given.update(zip(names, plain))
+    try:
+        return argparse.Namespace(**{
+            kw.get("dest", name.lstrip("-")): kw.get("type", str)(given[name])
+            if name in given or kw.get("required") else kw.get("default")
+            for name, kw in declared.items()})
+    except (KeyError, ValueError):  # a required option missing, or a value its type refuses
+        return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] not in VERBS:
         sys.stdout.write(USAGE)
         return 0 if argv[:1] in (["-h"], ["--help"]) else 64
     try:
-        out = VERBS[argv[0]].run(_verb_parser(argv[0]).parse_args(argv[1:]))
+        args = _read(argv[0], argv[1:]) or _verb_parser(argv[0]).parse_args(argv[1:])
+        out = VERBS[argv[0]].run(args)
     except SystemExit as exc:  # argparse is done: help printed (0) or a usage error (64)
         return exc.code
     except (WordSyntaxError, LiteralSyntaxError) as exc:

@@ -14,6 +14,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+USAGE_ERRORS = [
+    ("mul", "--n", "1", "1;2;3"),                 # missing positional
+    ("dilate", "--n", "1", "1;1;1"),              # missing required option
+    ("inv", "1;2;3"),                             # missing --n
+    ("inv", "--n", "1", "--frob", "1", "1;2;3"),  # unknown option
+    ("mul", "--n", "abc", "0;0;0", "0;0;0"),      # ill-typed option
+    ("inv", "--n", "1", "-x;-2;-1"),              # '-' and no number, no `--`
+    ("rep-check", "--L", "1"),                    # no grid operator reads L
+    ("rep-check", "--lam", "1"),                  # nor a scale lambda
+    ("rep-check", "--l", "2"),                    # prefixes are not options
+    ("rep-check", "--tri", "1"),
+    ("siegel-check", "--n", "1", "--se", "1"),
+    ("dilate", "--n", "1", "--r", "2", "--he", "1;1;1"),
+    ("commutator", "--in", "f.txt", "--N", "8"),  # the file fixes the grid
+    ("commutator", "--L", "2"),                   # no period: h cancels from the defect
+]
+
+
 class TestElementVerbs:
     def test_mul_identity(self, capsys):
         code, out, _ = run(capsys, "mul", "--n", "2", "1,2;3,4;5", "0,0;0,0;0")
@@ -242,26 +260,27 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert message in err and "must be finite" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("mul", "--n", "1", "1;2;3"),                 # missing positional
-        ("dilate", "--n", "1", "1;1;1"),              # missing required option
-        ("inv", "1;2;3"),                             # missing --n
-        ("inv", "--n", "1", "--frob", "1", "1;2;3"),  # unknown option
-        ("mul", "--n", "abc", "0;0;0", "0;0;0"),      # ill-typed option
-        ("inv", "--n", "1", "-x;-2;-1"),              # '-' and no number, no `--`
-        ("rep-check", "--L", "1"),                    # no grid operator reads L
-        ("rep-check", "--lam", "1"),                  # nor a scale lambda
-        ("rep-check", "--l", "2"),                    # prefixes are not options
-        ("rep-check", "--tri", "1"),
-        ("siegel-check", "--n", "1", "--se", "1"),
-        ("dilate", "--n", "1", "--r", "2", "--he", "1;1;1"),
-        ("commutator", "--in", "f.txt", "--N", "8"),  # the file fixes the grid
-        ("commutator", "--L", "2"),                   # no period: h cancels from the defect
-    ])
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
     def test_usage_errors_are_64(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, "")
         assert f"usage: heis {argv[0]}" in err
+
+    @pytest.mark.parametrize("verb, option", [(verb, name) for verb in cli.VERBS
+                                              for name, _ in cli.VERBS[verb].args
+                                              if name.startswith("-")])
+    def test_double_dash_value_is_missing(self, capsys, verb, option):
+        # Python 3.11's argparse hands the verb [] for `--opt=--`
+        for argv in ((verb, option, "--"), (verb, f"{option}=--")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (64, ""), argv
+            assert err.endswith(f"error: argument {option}: expected one argument\n"), argv
+
+    def test_double_dash_after_double_dash_is_a_literal(self, capsys):
+        # Python 3.11's argparse hands the verb [] for it, and the verb raised
+        code, out, err = run(capsys, "mul", "--n", "1", "0;0;0", "--", "--")
+        assert (code, out) == (2, "")
+        assert err == "error: expected 3 semicolon-separated blocks, got 1\n"
 
     def test_literal_after_double_dash(self, capsys):
         assert run(capsys, "inv", "--n", "1", "--", "-1;-2;-1")[:2] == (0, "1;2;3\n")
@@ -445,3 +464,49 @@ class TestParserCache:
             assert out == cli._verb_parser.__wrapped__("rep-check").format_help()
             texts.append(out)
         assert texts[0] != texts[1]
+
+
+# one plain argv per verb: each option spaced or joined, `--` or not
+PLAIN = [
+    ("mul", "--n", "1", "1;2;0", "3;4;0"),
+    ("inv", "--n=1", "--", "-1;-2;-1"),
+    ("dilate", "--r", "-1e-3", "--n", "1", "1;1;1"),
+    ("reduce", "--n", "1", "1.5;-2.5;0.25"),
+    ("parse", "--n", "2", "a1^2 b2 c^-1"),
+    ("norm", "--n", "2", "--", "b1 a1"),
+    ("eval", "--n", "1", "b1 a1"),
+    ("relcheck", "--n=1"),
+    ("rep-check", "--N=8", "--trials", "2", "--seed", "3"),
+    ("commutator", "--N", "8"),
+    ("siegel-mul", "--n", "1", "--", "-i;0", "1;0"),
+    ("siegel-act", "--n", "1", "1+2i;0", "0;1+1i"),
+    ("siegel-check", "--trials", "2", "--n", "1"),
+]
+
+
+class TestPlainArgv:
+    """Plain argv is read from VERBS without a parser; argparse alone prints
+    help and usage errors, with the bytes main printed when it alone parsed."""
+
+    def _argparse_only(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read", lambda verb, args: None)
+            return run(capsys, *argv)
+
+    def test_one_plain_argv_per_verb(self):
+        assert sorted(argv[0] for argv in PLAIN) == sorted(cli.VERBS)
+
+    @pytest.mark.parametrize("argv", PLAIN)
+    def test_plain_argv_builds_no_parser(self, capsys, monkeypatch, argv):
+        want = self._argparse_only(capsys, monkeypatch, argv)
+
+        def refuse(verb):
+            raise AssertionError(f"a parser was built for {verb}")
+
+        monkeypatch.setattr(cli, "_verb_parser", refuse)
+        assert run(capsys, *argv) == want
+        assert want[0] in (0, 3)
+
+    @pytest.mark.parametrize("argv", [(verb, "--help") for verb in cli.VERBS] + USAGE_ERRORS)
+    def test_help_and_usage_errors_keep_their_bytes(self, capsys, monkeypatch, argv):
+        assert run(capsys, *argv) == self._argparse_only(capsys, monkeypatch, argv)

@@ -6,15 +6,18 @@ also in exponent, `inf` and `nan` form), element literals, generator words (with
 exponents past the digit limit of int-to-text conversion among them) and junk.  Whatever the argv, `main` must return a documented exit code, let no
 exception escape and print no traceback.  Two more properties make `VERBS` the
 whole grammar: a prefix of a declared option is not that option, and
-`--opt V` means what `--opt=V` means for every V that float() reads.  And a
+`--opt V` means what `--opt=V` means for every V that float() reads.  A
 verb's parser, built once and reused, answers an argv as a fresh one would.
+And `cli._read`, which reads plain argv without a parser, either leaves an
+argv to argparse or reads it exactly as argparse does.
 """
 
 import contextlib
 import io
 import os
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis import cli
@@ -84,12 +87,16 @@ def _literal(metavar: str, dim: int):
     }[metavar]
 
 
+# values argparse reads as a separator, a positional and an option
+DASHED = st.sampled_from(["--", "-", "-x"])
+
+
 def _option_value(name: str, dim: int):
     if name in SIZE_BOUND:
         good = st.just(str(dim)) if name == "--n" else st.integers(-2, SIZE_BOUND[name]).map(str)
-        not_int = st.one_of(REAL, JUNK).filter(lambda t: not _reads_as(int, t))
+        not_int = st.one_of(REAL, JUNK, DASHED).filter(lambda t: not _reads_as(int, t))
         return _mostly(good, st.one_of(st.integers(-2, SIZE_BOUND[name]).map(str), not_int))
-    return st.one_of(REAL, st.integers(-3, 10**6).map(str), JUNK)
+    return _mostly(st.one_of(REAL, st.integers(-3, 10**6).map(str), JUNK), DASHED)
 
 
 @st.composite
@@ -103,7 +110,8 @@ def argvs(draw, verb=None):
     argv = [verb]
     for name in draw(st.permutations(options)):
         if (name in SIZE_BOUND and verb != "commutator") or draw(st.booleans()):
-            argv += [name, draw(_option_value(name, dim))]
+            value = draw(_option_value(name, dim))
+            argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
     if positionals and draw(_mostly(st.just(True), st.just(False))):
         argv.append("--")  # so that a literal may start with '-'
     for metavar in positionals:
@@ -127,6 +135,26 @@ def prefixed_argvs(draw):
     return [argv[0], prefix, draw(_option_value(name, 1))] + argv[1:]
 
 
+@st.composite
+def reader_argvs(draw):
+    """An argv of argvs(), half the time as it is, else with one of its verb's
+    options repeated (spaced or joined, before any `--`, often with a dashed
+    value) or with one or two more `--` anywhere after the verb."""
+    argv = draw(argvs())
+    options = [name for name, _ in cli.VERBS[argv[0]].args if name.startswith("-")]
+    change = draw(st.sampled_from([None, None, "repeat", "--"]))
+    if change == "repeat" and options:
+        name = draw(st.sampled_from(options))
+        value = draw(st.one_of(_option_value(name, 1), DASHED))
+        end = argv.index("--") if "--" in argv else len(argv)
+        argv[draw(st.integers(1, end)):0] = draw(
+            st.sampled_from([[name, value], [f"{name}={value}"]]))
+    elif change == "--":
+        for _ in range(draw(st.integers(1, 2))):
+            argv.insert(draw(st.integers(1, len(argv))), "--")
+    return argv
+
+
 def _run(argv, env_seed=None):
     saved = os.environ.pop("HEIS_SEED", None)
     if env_seed is not None:
@@ -147,6 +175,9 @@ ENV_SEEDS = st.sampled_from([None, "0", "7", "-3", "abc", "1.5"])
 
 @settings(max_examples=400, deadline=None)
 @given(argv=argvs(), env_seed=ENV_SEEDS)
+@example(argv=["commutator", "--in=--"], env_seed=None)  # Python 3.11's argparse reads []
+@example(argv=["rep-check", "--seed=--", "--trials", "1"], env_seed=None)
+@example(argv=["siegel-check", "--n", "1", "--trials", "1", "--seed=--"], env_seed=None)
 def test_every_argv_ends_in_a_documented_exit_code(argv, env_seed):
     code, _, err = _run(argv, env_seed)
     assert code in EXIT_CODES, (argv, code)
@@ -201,3 +232,45 @@ def test_a_reused_parser_answers_as_a_fresh_one(data, env_seed, other_env_seed, 
     state = _parser_state(argv[0])
     assert _run(argv, env_seed) == fresh, (argv, other)
     assert _parser_state(argv[0]) == state, argv
+
+
+def _fields(namespace):
+    """A namespace's values with their types: 2 is not 2.0, and nan is nan."""
+    return sorted((name, repr(value)) for name, value in vars(namespace).items())
+
+
+def _argparse_fields(argv):
+    """The fields of what argparse alone reads from argv, or None for help
+    or a usage error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return _fields(cli._verb_parser(argv[0]).parse_args(argv[1:]))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=reader_argvs())
+@example(argv=["dilate", "--n", "1", "--r", "2", "1;1;1"])  # 2.0, not 2
+@example(argv=["rep-check", "--seed", "-x"])  # argparse reads `-x` as an option
+@example(argv=["mul", "--n", "1", "--", "1;2;0", "3;4;0"])
+def test_the_reader_reads_as_argparse_does(argv):
+    read = cli._read(argv[0], argv[1:])
+    if read is not None:
+        assert _fields(read) == _argparse_fields(argv), argv
+
+
+@pytest.mark.parametrize("argv, argparse_fields", [
+    # a trailing `--` that no positional takes is an unrecognized argument
+    (["relcheck", "--n", "1", "--"], None),
+    (["rep-check", "--"], None),
+    # one a positional takes is dropped
+    (["inv", "--n", "1", "x", "--"], [("elem", "'x'"), ("n", "1")]),
+    # `--opt=--` is refused as `--opt --` is; Python 3.11's argparse alone reads []
+    (["rep-check", "--seed=--"], None),
+    # a positional `--` after the first: Python 3.11's argparse alone reads []
+    (["mul", "--n", "1", "x", "--", "--"], [("lhs", "'x'"), ("n", "1"), ("rhs", "'--'")]),
+])
+def test_the_reader_leaves_argparse_quirks_to_argparse(argv, argparse_fields):
+    assert cli._read(argv[0], argv[1:]) is None
+    assert _argparse_fields(argv) == argparse_fields
