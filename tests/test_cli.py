@@ -467,21 +467,21 @@ class TestParserCache:
 
 
 # one plain argv per verb: each option spaced or joined, `--` or not
-PLAIN = [
-    ("mul", "--n", "1", "1;2;0", "3;4;0"),
-    ("inv", "--n=1", "--", "-1;-2;-1"),
-    ("dilate", "--r", "-1e-3", "--n", "1", "1;1;1"),
-    ("reduce", "--n", "1", "1.5;-2.5;0.25"),
-    ("parse", "--n", "2", "a1^2 b2 c^-1"),
-    ("norm", "--n", "2", "--", "b1 a1"),
-    ("eval", "--n", "1", "b1 a1"),
-    ("relcheck", "--n=1"),
-    ("rep-check", "--N=8", "--trials", "2", "--seed", "3"),
-    ("commutator", "--N", "8"),
-    ("siegel-mul", "--n", "1", "--", "-i;0", "1;0"),
-    ("siegel-act", "--n", "1", "1+2i;0", "0;1+1i"),
-    ("siegel-check", "--trials", "2", "--n", "1"),
-]
+PLAIN = {
+    "mul": ("mul", "--n", "1", "1;2;0", "3;4;0"),
+    "inv": ("inv", "--n=1", "--", "-1;-2;-1"),
+    "dilate": ("dilate", "--r", "-1e-3", "--n", "1", "1;1;1"),
+    "reduce": ("reduce", "--n", "1", "1.5;-2.5;0.25"),
+    "parse": ("parse", "--n", "2", "a1^2 b2 c^-1"),
+    "norm": ("norm", "--n", "2", "--", "b1 a1"),
+    "eval": ("eval", "--n", "1", "b1 a1"),
+    "relcheck": ("relcheck", "--n=1"),
+    "rep-check": ("rep-check", "--N=8", "--trials", "2", "--seed", "3"),
+    "commutator": ("commutator", "--N", "8"),
+    "siegel-mul": ("siegel-mul", "--n", "1", "--", "-i;0", "1;0"),
+    "siegel-act": ("siegel-act", "--n", "1", "1+2i;0", "0;1+1i"),
+    "siegel-check": ("siegel-check", "--trials", "2", "--n", "1"),
+}
 
 
 class TestPlainArgv:
@@ -493,19 +493,17 @@ class TestPlainArgv:
             patch.setattr(cli, "_read", lambda verb, args: None)
             return run(capsys, *argv)
 
-    def test_one_plain_argv_per_verb(self):
-        assert sorted(argv[0] for argv in PLAIN) == sorted(cli.VERBS)
-
-    @pytest.mark.parametrize("argv", PLAIN)
-    def test_plain_argv_builds_no_parser(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_plain_argv_builds_no_parser(self, capsys, monkeypatch, verb):
+        argv = PLAIN[verb]
         want = self._argparse_only(capsys, monkeypatch, argv)
 
-        def refuse(verb):
-            raise AssertionError(f"a parser was built for {verb}")
+        def refuse(name):
+            raise AssertionError(f"a parser was built for {name}")
 
         monkeypatch.setattr(cli, "_verb_parser", refuse)
         assert run(capsys, *argv) == want
-        assert want[0] in (0, 3)
+        assert want[0] == (3 if verb == "dilate" else 0)  # the reader takes r = -1e-3
 
     @pytest.mark.parametrize("argv", [(verb, "--help") for verb in cli.VERBS] + USAGE_ERRORS)
     def test_help_and_usage_errors_keep_their_bytes(self, capsys, monkeypatch, argv):

@@ -1,9 +1,11 @@
 """Fuzz the CLI with argv drawn from the verb table `cli.VERBS`.
 
-Each example picks a verb, a random subset of its declared options and values
-for them and its positionals, drawn from small integers, floats (negative ones
-also in exponent, `inf` and `nan` form), element literals, generator words (with
-exponents past the digit limit of int-to-text conversion among them) and junk.  Whatever the argv, `main` must return a documented exit code, let no
+Each example picks a verb, a random subset of its declared options (each as
+`--opt V` or `--opt=V`) and values for them and its positionals, drawn from
+small integers, floats (negative ones also in exponent, `inf` and `nan` form),
+element literals, generator words (with exponents past the digit limit of
+int-to-text conversion among them), junk, and for options `--`, `-` and `-x`.
+Whatever the argv, `main` must return a documented exit code, let no
 exception escape and print no traceback.  Two more properties make `VERBS` the
 whole grammar: a prefix of a declared option is not that option, and
 `--opt V` means what `--opt=V` means for every V that float() reads.  A
