@@ -31,6 +31,8 @@ kernel check reads the operators' integer data, O(N^n + N).
 siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
 the formulas of the scalar API, on one array per coordinate.
+
+numpy is imported on first use, as in `grid`: `relation_check` loads none.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ import functools
 import operator
 from typing import List, Tuple
 
-import numpy as np
-
-from . import core, grid, lattice, siegel
+from . import _Numpy, core, grid, lattice, siegel
 from .errors import ParameterError, dimension, integer
+
+np = _Numpy(globals())  # numpy, imported on first use
 
 DIL_FACTORS = (0.5, 1.0, 2.0, 10.0)
 BLOCK_VALUES = 2**16             # values per block of trials, or one trial if it holds more
@@ -50,7 +52,7 @@ REP_TOL = 1e-12                  # rep-check: max deviation of every property
 COMMUTATOR_RATIO = (3.5, 4.5)    # commutator: admissible defect ratio at N vs 2N
 SIEGEL_BOUND = 10.0              # siegel-check: samples are drawn from [-bound, bound]
 SIEGEL_TOL = 1e-10               # siegel-check: max deviation of the other properties
-HEIGHT_ROUNDING = 16 * np.finfo(np.float64).eps  # siegel-check: height bound / ((n + 1) S)
+HEIGHT_ROUNDING = 2.0**-48       # 16 float64 eps; siegel-check: height bound / ((n + 1) S)
 
 
 def _fmt(v: float) -> str:

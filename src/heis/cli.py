@@ -13,7 +13,8 @@ Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
 and its dispatch are all built from that entry.  Plain argv (see `_read`) is
 read straight from `VERBS`; a verb's parser is built only for help, usage
 errors and the shapes it alone reads, once per process, and parsing leaves
-it unchanged.  The environment (HEIS_SEED, COLUMNS) is read at call time.
+it unchanged.  A lone trailing `--` is dropped before either reads argv.
+The environment (HEIS_SEED, COLUMNS) is read at call time.
 Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
 
@@ -214,6 +215,8 @@ def _read(verb: str, argv: List[str]) -> Optional[argparse.Namespace]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[-1:] == ["--"] and argv.count("--") == 1:
+        argv.pop()  # marks nothing, so every verb ignores it (argparse refused some)
     if not argv or argv[0] not in VERBS:
         sys.stdout.write(USAGE)
         return 0 if argv[:1] in (["-h"], ["--help"]) else 64

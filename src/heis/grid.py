@@ -45,6 +45,9 @@ difference reads f[j + e_a] - f[j - e_a] off slices of the samples, the
 interior and then the two rows whose neighbours wrap round the seam, into
 one new array per axis: the values of shifting copies with np.roll, bit for
 bit, without the copies.
+
+numpy is imported on first use, not by `import heis.grid`: of the CLI verbs,
+only rep-check, commutator and siegel-check load it.
 """
 
 from __future__ import annotations
@@ -55,11 +58,12 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Tuple
 
-import numpy as np
-
+from . import _Numpy
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_vector,
                      integer, integers)
 from .lattice import LatticeElement, linverse, lmul
+
+np = _Numpy(globals())  # numpy, imported on first use
 
 MAX_GRID_POINTS = 2**20
 IDENTITY_TOL = 1e-12  # is_identity_operator: max deviation on a basis function

@@ -7,6 +7,8 @@ import subprocess
 
 import pytest
 
+from heis import cli
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("benchpair", ROOT / "tools" / "benchpair.py")
 benchpair = importlib.util.module_from_spec(spec)
@@ -137,11 +139,54 @@ def test_a_failing_criterion_stops_the_comparison(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ([], "give at least one --workload or --test"),
+    ([], "give at least one --workload, --test or --verb"),
+    (["--verb", "frobnicate"], "argument --verb: invalid choice: 'frobnicate'"),
     (["--workload", "cli-session"], "--workload needs at least one --seed"),
-], ids=["nothing-to-run", "workload-without-seed"])
+], ids=["nothing-to-run", "unknown-verb", "workload-without-seed"])
 def test_what_to_run_is_a_usage_error_when_missing(tmp_path, extra, message, capsys):
     with pytest.raises(SystemExit) as info:
         benchpair.main(checkouts(tmp_path) + extra + ["--pairs", "1",
                                                       "--out", str(tmp_path / "bench.json")])
     assert info.value.code == 2 and message in capsys.readouterr().err
+
+
+def test_every_verb_has_a_fixed_argv():
+    assert list(benchpair.VERB_ARGV) == list(cli.VERBS)
+    assert all(argv[0] == verb for verb, argv in benchpair.VERB_ARGV.items())
+
+
+def test_verb_pairs_alternate_fresh_processes_on_each_checkout(tmp_path, monkeypatch):
+    """--verb runs `python -m heis.cli` on the verb's argv once per side and
+    pair, alternating which side goes first, each on its own sources."""
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append(pathlib.Path(cwd).name)
+        assert env["PYTHONPATH"] == str(pathlib.Path(cwd) / "src")
+        assert cmd[1:] == ["-m", "heis.cli"] + benchpair.VERB_ARGV[cmd[3]]
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(benchpair.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert benchpair.main(checkouts(tmp_path) + ["--verb", "mul", "--verb", "rep-check",
+                                                 "--pairs", "3", "--out", str(out)]) == 0
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"] * 2
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {} and "acceptance" not in report
+    assert report["verb_argv"] == {verb: benchpair.VERB_ARGV[verb]
+                                   for verb in ("mul", "rep-check")}
+    assert list(report["verbs"]) == ["mul", "rep-check"]
+    for got in report["verbs"].values():
+        assert got["pairs"] == 3
+        assert got["unit"] == "s" and got["better"] == "lower" and "bound" not in got
+        assert {len(runs) for runs in got["runs"].values()} == {3}
+        assert set(got["parent"]) == set(got["change"]) == {"median", "q1", "q3"}
+        assert {"change_wins", "parent_iqr", "relative_change", "gain_resolved"} <= set(got)
+
+
+def test_a_failing_verb_stops_the_comparison(tmp_path, monkeypatch):
+    monkeypatch.setattr(benchpair.subprocess, "run", lambda cmd, **kwargs:
+                        subprocess.CompletedProcess(cmd, 3, "", "error: bad\n"))
+    with pytest.raises(SystemExit, match="exited 3"):
+        benchpair.main(checkouts(tmp_path) + ["--verb", "mul", "--pairs", "1",
+                                              "--out", str(tmp_path / "bench.json")])

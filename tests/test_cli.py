@@ -505,6 +505,12 @@ class TestPlainArgv:
         assert run(capsys, *argv) == want
         assert want[0] == (3 if verb == "dilate" else 0)  # the reader takes r = -1e-3
 
+    @pytest.mark.parametrize("verb", [verb for verb in cli.VERBS if "--" not in PLAIN[verb]])
+    def test_a_lone_trailing_double_dash_is_ignored(self, capsys, verb):
+        # argparse alone refused it after an option: `relcheck --n 1 --` and
+        # `rep-check --` exited 64 with `unrecognized arguments: --`
+        assert run(capsys, *PLAIN[verb], "--") == run(capsys, *PLAIN[verb])
+
     @pytest.mark.parametrize("argv", [(verb, "--help") for verb in cli.VERBS] + USAGE_ERRORS)
     def test_help_and_usage_errors_keep_their_bytes(self, capsys, monkeypatch, argv):
         assert run(capsys, *argv) == self._argparse_only(capsys, monkeypatch, argv)

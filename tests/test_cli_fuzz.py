@@ -264,6 +264,7 @@ def test_the_reader_reads_as_argparse_does(argv):
 
 @pytest.mark.parametrize("argv, argparse_fields", [
     # a trailing `--` that no positional takes is an unrecognized argument
+    # (cli.main drops a lone one before the reader or argparse sees it)
     (["relcheck", "--n", "1", "--"], None),
     (["rep-check", "--"], None),
     # one a positional takes is dropped

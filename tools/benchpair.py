@@ -3,7 +3,8 @@
 
     python3 tools/benchpair.py --parent DIR --change DIR \\
         --workload cli-session --workload grid-weyl --seed 11 --seed 23 \\
-        --test test_03_lattice_normal_form_oracle --pairs 10 --out BENCH_8.json
+        --test test_03_lattice_normal_form_oracle --verb mul --verb rep-check \\
+        --pairs 10 --out BENCH_8.json
 
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, on the same
 workload and seed, for the run length BENCHMARK.json fixes.  Pair i (from 1)
@@ -26,6 +27,13 @@ the same alternating order, and records the call-phase seconds that pytest's
 `--durations` reports (unscaled, to its 0.01 s resolution).  Per criterion,
 `acceptance` holds the same spread, pair wins and `gain_resolved` as a
 workload metric, with no bound: it is a reading, not a gate.
+
+Each `--verb NAME` names a `heis` verb, run on the fixed argv in `VERB_ARGV`.
+Pair i times one fresh `python -m heis.cli <argv>` process in each checkout,
+with PYTHONPATH set to that checkout's `src` alone, in the same alternating
+order: the wall seconds from start to exit, unscaled, start-up included.  Per
+verb, `verb_argv` holds the argv and `verbs` the same spread, pair wins and
+`gain_resolved` as a criterion, again with no bound.
 The file is rewritten after each pair, so an interrupted comparison keeps
 the pairs it finished.
 """
@@ -40,9 +48,28 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# one fixed argv per heis verb: the single operations on small literals, the
+# check verbs at their default sizes
+VERB_ARGV = {
+    "mul": ["mul", "--n", "2", "1,2;3,4;5", "-1,0.5;2,-3;0.25"],
+    "inv": ["inv", "--n", "2", "1,2;3,4;5"],
+    "dilate": ["dilate", "--n", "2", "--r", "3", "1,2;3,4;5"],
+    "reduce": ["reduce", "--n", "2", "1.5,-2.25;3.75,4;-5.5"],
+    "parse": ["parse", "--n", "2", "a1^2 b2 c^-1 a2 b1^-3"],
+    "norm": ["norm", "--n", "2", "b1 a1 b2^2 a2^-1 c"],
+    "eval": ["eval", "--n", "2", "b1 a1 b2^2 a2^-1 c"],
+    "relcheck": ["relcheck", "--n", "2"],
+    "rep-check": ["rep-check", "--seed", "0"],
+    "commutator": ["commutator"],
+    "siegel-mul": ["siegel-mul", "--n", "2", "1+2i,3-1i;5", "-2+0.5i,1i;-1"],
+    "siegel-act": ["siegel-act", "--n", "2", "1+2i,3-1i;5", "0.5,1i;2+20i"],
+    "siegel-check": ["siegel-check", "--n", "2", "--seed", "0"],
+}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -69,6 +96,20 @@ def run_test(checkout: Path, test: str) -> float:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return float(call[1])
+
+
+def run_verb(checkout: Path, verb: str) -> float:
+    """The wall seconds of one fresh `python -m heis.cli` process running
+    `verb`'s fixed argv on `checkout`'s sources."""
+    cmd = [sys.executable, "-m", "heis.cli", *VERB_ARGV[verb]]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=600)
+    seconds = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return seconds
 
 
 def src_lines(checkout: Path) -> int:
@@ -124,13 +165,15 @@ def main(argv=None) -> int:
                         help="repeatable; pair i takes the i-th, cycling; needed by --workload")
     parser.add_argument("--test", action="append", default=[],
                         help="a tests/test_acceptance.py criterion to time; repeatable")
+    parser.add_argument("--verb", action="append", default=[], choices=VERB_ARGV,
+                        help="a heis verb to time in fresh processes; repeatable")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
-    if not args.workload and not args.test:
-        parser.error("give at least one --workload or --test")
+    if not args.workload and not args.test and not args.verb:
+        parser.error("give at least one --workload, --test or --verb")
     if args.workload and not args.seed:
         parser.error("--workload needs at least one --seed")
 
@@ -151,6 +194,11 @@ def main(argv=None) -> int:
         report["acceptance_command"] = ("python -m pytest -q -p no:cacheprovider tests/"
                                         "test_acceptance.py::ID --durations=0 --durations-min=0")
         report["acceptance"] = {}
+    if args.verb:
+        report["verb_command"] = ("PYTHONPATH=<checkout>/src python -m heis.cli ARGV, one fresh "
+                                  "process; wall seconds, unscaled")
+        report["verb_argv"] = {verb: VERB_ARGV[verb] for verb in args.verb}
+        report["verbs"] = {}
     for workload in args.workload:
         results = {side: [] for side in SIDES}
         seeds = []
@@ -173,14 +221,16 @@ def main(argv=None) -> int:
                     for side in SIDES}) for spec in specs},
             }
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for test in args.test:
+    timed = ([("acceptance", test, run_test) for test in args.test]
+             + [("verbs", verb, run_verb) for verb in args.verb])
+    for section, name, run in timed:
         times = {side: [] for side in SIDES}
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                times[side].append(run_test(checkouts[side], test))
-                print(f"{test} pair {i + 1}/{args.pairs} {side}: {times[side][-1]} s",
+                times[side].append(run(checkouts[side], name))
+                print(f"{name} pair {i + 1}/{args.pairs} {side}: {times[side][-1]} s",
                       file=sys.stderr)
-            report["acceptance"][test] = {"pairs": i + 1, **verdict("s", "lower", times)}
+            report[section][name] = {"pairs": i + 1, **verdict("s", "lower", times)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
