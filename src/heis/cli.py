@@ -13,19 +13,20 @@ Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
 and its dispatch are all built from that entry.  Plain argv (see `_read`) is
 read straight from `VERBS`; a verb's parser is built only for help, usage
 errors and the shapes it alone reads, once per process, and parsing leaves
-it unchanged.  A lone trailing `--` is dropped before either reads argv.
+it unchanged; argparse is imported only then.  A lone trailing `--` is
+dropped before either reads argv.
 The environment (HEIS_SEED, COLUMNS) is read at call time.
 Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import checks, core, errors, grid, lattice, siegel, textio
 from .errors import HeisError, LiteralSyntaxError, ParameterError, WordSyntaxError
@@ -37,7 +38,7 @@ class Verb(NamedTuple):
     # rest only help, type, required, default and dest, which `_read` reads too)
     args: Tuple[Tuple[str, dict], ...]
     # the verb on its parsed arguments: output text, or a check's (report, ok)
-    run: Callable[[argparse.Namespace], Union[str, Tuple[str, bool]]]
+    run: Callable[[Any], Union[str, Tuple[str, bool]]]
 
 
 DIM = ("--n", dict(type=int, required=True, metavar="N", help="ambient dimension"))
@@ -152,36 +153,48 @@ NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 INTEGER = r"\s*[+-]?\d+\s*"  # int() refuses such text only past its digit limit
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on a usage error; here 2 means a literal did not parse
-    def error(self, message):  # name int()'s digit limit, not the digits type=int echoes
-        message = re.sub(f"(argument \\S+): invalid int value: '{INTEGER}'",
-                         lambda match: errors.digit_limit(match[1]), message)
-        self.print_usage(sys.stderr)
-        self.exit(64, f"error: {message}\n")
+def __getattr__(name: str):
+    """`_Parser`, defined with argparse's import on first use: plain argv needs neither."""
+    if name != "_Parser":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import argparse
 
-    def _get_values(self, action, arg_strings):
-        # Python 3.11 reads a value `--` as []: `--opt=--` lacks its value as
-        # `--opt --` does, and a positional `--` after the first is the text
-        if arg_strings == ["--"]:
-            if action.option_strings:
-                raise argparse.ArgumentError(action, "expected one argument")
-            return "--"
-        return super()._get_values(action, arg_strings)
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits 2 on a usage error; here 2 means a literal did not parse
+        def error(self, message):  # name int()'s digit limit, not the digits type=int echoes
+            message = re.sub(f"(argument \\S+): invalid int value: '{INTEGER}'",
+                             lambda match: errors.digit_limit(match[1]), message)
+            self.print_usage(sys.stderr)
+            self.exit(64, f"error: {message}\n")
+
+        def _get_values(self, action, arg_strings):
+            # Python 3.11 reads a value `--` as []: `--opt=--` lacks its value as
+            # `--opt --` does, and a positional `--` after the first is the text
+            if arg_strings == ["--"]:
+                if action.option_strings:
+                    raise argparse.ArgumentError(action, "expected one argument")
+                return "--"
+            return super()._get_values(action, arg_strings)
+
+    globals()["_Parser"] = _Parser
+    return _Parser
 
 
 @functools.cache  # at most one parser per verb in VERBS
-def _verb_parser(verb: str) -> _Parser:
+def _verb_parser(verb: str):
+    from argparse import RawDescriptionHelpFormatter
+
     # no abbreviations: the options are exactly the ones VERBS declares
-    p = _Parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,
-                formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
+    parser = globals().get("_Parser") or __getattr__("_Parser")
+    p = parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,
+               formatter_class=RawDescriptionHelpFormatter, allow_abbrev=False)
     p._negative_number_matcher = NEGATIVE_NUMBER  # private argparse attribute; tests pin it
     for name, kw in VERBS[verb].args:
         p.add_argument(name, **kw)
     return p
 
 
-def _read(verb: str, argv: List[str]) -> Optional[argparse.Namespace]:
+def _read(verb: str, argv: List[str]) -> Optional[SimpleNamespace]:
     """What `_verb_parser(verb).parse_args(argv)` returns, read straight from
     VERBS, or None unless argv has the plain shape: each declared option at
     most once, as `--opt V` or `--opt=V`, exactly the declared positionals,
@@ -205,7 +218,7 @@ def _read(verb: str, argv: List[str]) -> Optional[argparse.Namespace]:
         return None
     given.update(zip(names, plain))
     try:
-        return argparse.Namespace(**{
+        return SimpleNamespace(**{
             kw.get("dest", name.lstrip("-")): kw.get("type", str)(given[name])
             if name in given or kw.get("required") else kw.get("default")
             for name, kw in declared.items()})

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from . import _Value
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_triple,
                      finite_vector, integer, integers)
 
@@ -34,13 +34,10 @@ def _dot(a: Sequence, b: Sequence):
     return sum(map(operator.mul, a, b))
 
 
-@dataclass(frozen=True)
-class RealElement:
-    """A point (x, y, t) of H_n(R)."""
+class RealElement(_Value):
+    """A point (x, y, t) of H_n(R): tuples of floats x, y and a float t."""
 
-    x: Tuple[float, ...]
-    y: Tuple[float, ...]
-    t: float
+    __match_args__ = _fields = ("x", "y", "t")
 
     def __init__(self, x: Sequence[float], y: Sequence[float], t: float):
         x, y, t = finite_vector(x, float), finite_vector(y, float), finite_scalar(t, float, "t")
@@ -103,11 +100,10 @@ def naive_inverse(g: RealElement) -> RealElement:
     return _real(tuple([-c for c in g.x]), tuple([-c for c in g.y]), -g.t)
 
 
-@dataclass(frozen=True)
-class Dilation:
+class Dilation(_Value):
     """The scaling delta_r: (x, y, t) -> (r x, r y, r^2 t), r > 0."""
 
-    r: float
+    __match_args__ = _fields = ("r",)
 
     def __init__(self, r: float):
         self.__dict__.update(r=finite_scalar(r, float, "dilation parameter", positive=True))
@@ -119,18 +115,17 @@ def dilate(d: Dilation, g: RealElement) -> RealElement:
                          tuple([r * c for c in g.x]), tuple([r * c for c in g.y]), r * r * g.t)
 
 
-@dataclass(frozen=True)
-class CosetReduction:
+class CosetReduction(_Value):
     """Result of reducing g modulo H_n(Z): gamma . g = rep with rep in [0,1)^(2n+1).
 
     gamma is returned as its integer triple (k, l, m); rep is the canonical
-    coset representative.
+    coset representative, a RealElement.
     """
 
-    k: Tuple[int, ...]
-    l: Tuple[int, ...]
-    m: int
-    rep: RealElement
+    __match_args__ = _fields = ("k", "l", "m", "rep")
+
+    def __init__(self, k: Tuple[int, ...], l: Tuple[int, ...], m: int, rep: RealElement):
+        self.__dict__.update(k=k, l=l, m=m, rep=rep)
 
 
 def _frac_split(v: float) -> Tuple[int, float]:
@@ -158,7 +153,7 @@ def coset_reduce(g: RealElement) -> CosetReduction:
     if not math.isfinite(central):
         raise ParameterError(f"t + x . l overflows to {central} in coset reduction")
     m, rt = _frac_split(central)
-    out = object.__new__(CosetReduction)  # the generated __init__ sets fields one call each
+    out = object.__new__(CosetReduction)  # cheaper than calling its __init__
     fields = out.__dict__
     fields["k"], fields["l"], fields["m"], fields["rep"] = k, l, m, _real(rx, ry, rt)
     return out

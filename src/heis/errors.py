@@ -16,7 +16,7 @@ has one validator here, and no other code repeats its test:
 Operation outputs skip those checks: each value type has one unchecked
 builder beside it (`core._real`, `lattice._element`, `siegel._complex`, ...)
 that writes every field by name into the instance `__dict__` (a frozen
-dataclass forbids attribute assignment only).  The groups are closed under
+`heis._Value` forbids attribute assignment only).  The groups are closed under
 their operations, so a float overflow is the one way such an output can be
 invalid: `finite_triple` ((x, y, t) outputs) and `finite_pair` ((vector,
 scalar) outputs) keep that one test, then call the builder they are given.

@@ -55,10 +55,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO, Tuple
 
-from . import _Numpy
+from . import _Numpy, _Value
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_vector,
                      integer, integers)
 from .lattice import LatticeElement, linverse, lmul
@@ -69,25 +68,23 @@ MAX_GRID_POINTS = 2**20
 IDENTITY_TOL = 1e-12  # is_identity_operator: max deviation on a basis function
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Value):
     """Discretization data: dimension n, N samples per axis of [0, 1)."""
 
-    n: int
-    N: int
+    __match_args__ = _fields = ("n", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", dimension(self.n))
-        object.__setattr__(self, "N", integer(self.N, "N"))
-        if self.N < 2:
+    def __init__(self, n: int, N: int):
+        n, N = dimension(n), integer(N, "N")
+        if N < 2:
             raise ParameterError("N must be >= 2")
         # N >= 2, so at most 21 products: N**n itself can have millions of digits
         points = 1
-        for _ in range(self.n):
-            points *= self.N
+        for _ in range(n):
+            points *= N
             if points > MAX_GRID_POINTS:
-                raise ParameterError(f"grid with N^n = {self.N}^{self.n} points exceeds the "
+                raise ParameterError(f"grid with N^n = {N}^{n} points exceeds the "
                                      f"{MAX_GRID_POINTS} guard")
+        self.__dict__.update(n=n, N=N)
 
     @property
     def h(self) -> float:

@@ -19,28 +19,24 @@ Arithmetic uses Python integers throughout, so no overflow is possible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from . import _Value
 from .core import RealElement, _embed, law, law_inverse
 from .errors import (DimensionError, ParameterError, WordSyntaxError, dimension, digit_limit,
                      integer, integers)
 
 
-@dataclass(frozen=True)
-class LatticeElement:
-    """An integer triple (k, l, m) in H_n(Z)."""
+class LatticeElement(_Value):
+    """An integer triple (k, l, m) in H_n(Z): tuples of ints k, l and an int m."""
 
-    k: Tuple[int, ...]
-    l: Tuple[int, ...]
-    m: int
+    __match_args__ = _fields = ("k", "l", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", integers(self.k, "k"))
-        object.__setattr__(self, "l", integers(self.l, "l"))
-        object.__setattr__(self, "m", integer(self.m, "m"))
-        if len(self.k) == 0 or len(self.k) != len(self.l):
+    def __init__(self, k: Tuple[int, ...], l: Tuple[int, ...], m: int):
+        k, l, m = integers(k, "k"), integers(l, "l"), integer(m, "m")
+        if len(k) == 0 or len(k) != len(l):
             raise DimensionError("k and l must have equal length n >= 1")
+        self.__dict__.update(k=k, l=l, m=m)
 
     @property
     def n(self) -> int:
@@ -53,7 +49,7 @@ class LatticeElement:
 
 
 def _element(k: tuple, l: tuple, m: int) -> LatticeElement:
-    """The LatticeElement (k, l, m), unchecked: its fields as `__post_init__` leaves them."""
+    """The LatticeElement (k, l, m), unchecked: its fields as `__init__` leaves them."""
     obj = object.__new__(LatticeElement)
     fields = obj.__dict__
     fields["k"], fields["l"], fields["m"] = k, l, m
@@ -112,13 +108,11 @@ def _power(tok: "GeneratorToken", n: int) -> LatticeElement:
 
 # --- words ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeneratorToken:
-    """A signed generator power: kind 'a'/'b' with index, or central 'c'."""
+class GeneratorToken(_Value):
+    """A signed generator power: kind 'a'/'b' with index, or central 'c'.
+    The index is 1-based, and 0 for 'c'; index and exponent are ints."""
 
-    kind: str  # 'a', 'b' or 'c'
-    index: int  # 1-based; 0 for 'c'
-    exponent: int
+    __match_args__ = _fields = ("kind", "index", "exponent")
 
     def __init__(self, kind: str, index: int, exponent: int):
         if type(index) is not int or type(exponent) is not int:
@@ -130,8 +124,6 @@ class GeneratorToken:
             raise ParameterError(f"generator kind must be 'a', 'b' or 'c', got {kind!r}")
         elif index < 1:
             raise DimensionError(f"generator index {index} out of range [1, n]")
-        # one dict update: with the checks above, still cheaper than the
-        # generated __init__, which sets each frozen field on its own
         self.__dict__.update(kind=kind, index=index, exponent=exponent)
 
     def __str__(self) -> str:
@@ -142,23 +134,20 @@ class GeneratorToken:
             raise ParameterError(digit_limit("a generator's exponent")) from None
 
 
-@dataclass(frozen=True)
-class Word:
-    """An ordered product of generator powers in dimension n."""
+class Word(_Value):
+    """An ordered product of generator powers in dimension n: a tuple of
+    GeneratorTokens."""
 
-    n: int
-    tokens: Tuple[GeneratorToken, ...]
+    __match_args__ = _fields = ("n", "tokens")
 
-    def __post_init__(self):
-        n = dimension(self.n)
-        tokens = tuple(self.tokens)
+    def __init__(self, n: int, tokens: Tuple[GeneratorToken, ...]):
+        n, tokens = dimension(n), tuple(tokens)
         for tok in tokens:
             if not isinstance(tok, GeneratorToken):
                 raise ParameterError(f"a word holds GeneratorTokens, got {tok!r}")
             if tok.index > n:
                 raise DimensionError(f"generator index {tok.index} out of range [1, {n}]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "tokens", tokens)
+        self.__dict__.update(n=n, tokens=tokens)
 
     def __str__(self) -> str:
         return " ".join(str(tok) for tok in self.tokens)
@@ -173,7 +162,7 @@ def _token(kind: str, index: int, exponent: int) -> GeneratorToken:
 
 
 def _word(n: int, tokens: tuple) -> Word:
-    """The Word, unchecked: its fields as `__post_init__` leaves them."""
+    """The Word, unchecked: its fields as `__init__` leaves them."""
     obj = object.__new__(Word)
     fields = obj.__dict__
     fields["n"], fields["tokens"] = n, tokens
@@ -257,12 +246,14 @@ def normalize_word(w: Word) -> Word:
 
 # --- relation checking ------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of exhaustively evaluating the defining relations."""
+class RelationReport(_Value):
+    """Outcome of exhaustively evaluating the defining relations: how many
+    were checked, and a tuple of the counterexamples."""
 
-    checked: int
-    counterexamples: Tuple[str, ...]
+    __match_args__ = _fields = ("checked", "counterexamples")
+
+    def __init__(self, checked: int, counterexamples: Tuple[str, ...]):
+        self.__dict__.update(checked=checked, counterexamples=counterexamples)
 
     @property
     def ok(self) -> bool:

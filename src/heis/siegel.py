@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from . import _Value
 # r > 0 scales (z, t) -> (r z, r^2 t) and (w, sigma) -> (r w, r^2 sigma), as in H_n(R)
 from .core import Dilation as ComplexDilation
 from .errors import (DimensionError, ParameterError, dimension, finite_pair, finite_scalar,
@@ -43,12 +43,10 @@ BOUNDARY_TOL = 1e-12  # classify: |height| up to this is the boundary
 COMPOSE_TOL = 1e-12   # act_compose_check: max deviation relative to the magnitudes
 
 
-@dataclass(frozen=True)
-class ComplexElement:
-    """A pair (z, t) with z in C^n and t real."""
+class ComplexElement(_Value):
+    """A pair (z, t) with z in C^n and t real: a tuple of complex and a float."""
 
-    z: Tuple[complex, ...]
-    t: float
+    __match_args__ = _fields = ("z", "t")
 
     def __init__(self, z: Sequence[complex], t: float):
         self.__dict__.update(z=finite_vector(z, complex), t=finite_scalar(t, float, "t"))
@@ -130,12 +128,11 @@ def cinverse(g: ComplexElement) -> ComplexElement:
     return _complex(tuple([-c for c in g.z]), -g.t)
 
 
-@dataclass(frozen=True)
-class SiegelPoint:
-    """A point (w, sigma) of C^n x C, classified by its height Im sigma - |w|^2."""
+class SiegelPoint(_Value):
+    """A point (w, sigma) of C^n x C, classified by its height Im sigma - |w|^2:
+    a tuple of complex and a complex."""
 
-    w: Tuple[complex, ...]
-    sigma: complex
+    __match_args__ = _fields = ("w", "sigma")
 
     def __init__(self, w: Sequence[complex], sigma: complex):
         self.__dict__.update(w=finite_vector(w, complex),

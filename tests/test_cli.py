@@ -511,6 +511,13 @@ class TestPlainArgv:
         # `rep-check --` exited 64 with `unrecognized arguments: --`
         assert run(capsys, *PLAIN[verb], "--") == run(capsys, *PLAIN[verb])
 
+    @pytest.mark.parametrize("argv", [("relcheck", "--n", "1"), ("rep-check",)])
+    def test_a_trailing_double_dash_that_argparse_refuses_runs(self, capsys, argv):
+        # cli._read and argparse both refuse these two argv with the `--`
+        # (tests/test_cli_fuzz.py pins that); main drops it, and the verb runs
+        with_dash = run(capsys, *argv, "--")
+        assert with_dash[0] == 0 and with_dash == run(capsys, *argv)
+
     @pytest.mark.parametrize("argv", [(verb, "--help") for verb in cli.VERBS] + USAGE_ERRORS)
     def test_help_and_usage_errors_keep_their_bytes(self, capsys, monkeypatch, argv):
         assert run(capsys, *argv) == self._argparse_only(capsys, monkeypatch, argv)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import io
 import math
 import warnings
@@ -45,7 +44,7 @@ class TestSpec:
 
     def test_no_scale_parameter(self):
         # no operator reads a continuum scale or a period, so the grid has neither
-        assert [f.name for f in dataclasses.fields(grid.GridSpec)] == ["n", "N"]
+        assert grid.GridSpec.__match_args__ == ("n", "N")
         with pytest.raises(TypeError):
             grid.GridSpec(1, 8, 1.0)
 

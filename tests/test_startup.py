@@ -33,6 +33,15 @@ def test_importing_the_program_imports_no_numpy():
     assert proc.stdout == "[] False\n", proc.stderr
 
 
+
+def test_importing_the_program_imports_no_dataclasses_or_inspect():
+    # the value types are no dataclasses, and nothing else pulls them in
+    proc = fresh("-c", "import sys; sys.path.insert(0, 'perfbench'); import program; "
+                       "program.import_heis(); print(sorted(m for m in ('dataclasses', 'inspect', "
+                       "'numpy') if m in sys.modules))")
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 # (argv, exit code): every verb that needs no arrays, help, and one refusal per exit code
 NUMPY_FREE = {
     "mul": (["mul", "--n", "1", "1;2;3", "4;5;6"], 0),
@@ -62,6 +71,26 @@ def test_a_verb_without_arrays_imports_no_numpy(case):
                        f"    code = cli.main({argv!r})\n"
                        "print(code, 'numpy' in sys.modules)")
     assert proc.stdout == f"{code} False\n", proc.stderr
+
+
+def loaded_by_main(argv) -> str:
+    """The exit code of `cli.main(argv)` in a fresh interpreter, and which of
+    argparse, dataclasses and inspect it loaded."""
+    return fresh("-c", "import contextlib, io, sys\n"
+                       "from heis import cli\n"
+                       "with contextlib.redirect_stdout(io.StringIO()), "
+                       "contextlib.redirect_stderr(io.StringIO()):\n"
+                       f"    code = cli.main({argv!r})\n"
+                       "print(code, [m for m in ('argparse', 'dataclasses', 'inspect') "
+                       "if m in sys.modules])").stdout
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+def test_only_help_and_usage_errors_import_argparse(case):
+    # plain argv is read without a parser; only help and usage errors build one
+    argv, code = NUMPY_FREE[case]
+    loaded = ["argparse"] if case in ("help", "usage-error") else []
+    assert loaded_by_main(argv) == f"{code} {loaded}\n"
 
 
 @pytest.mark.parametrize("case", ["rep-check-n1-N8-seed0", "siegel-check-n2-seed5",
