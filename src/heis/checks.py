@@ -87,17 +87,21 @@ def relation_check(n: int) -> Tuple[str, bool]:
 
 
 def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
-    """The trials' draws, one block at a time, each with one call per kind: an
-    int array of shape (B, 4n + 2) holding each trial's p, q, s, p', q', s',
-    then the complex samples f, of shape (B,) + the grid shape.
+    """The trials' draws, one block at a time, each with one call per kind:
+    every trial's p, q, s, p', q', s' in an int array of shape
+    (B, 4n + 2) + (1,) * n, then the complex samples f, of shape (B,) + the
+    grid shape.  Yields the stacks (p, q, s) and (p', q', s'), one int array
+    per component shaped (B,) + (1,) * n to broadcast against the grid, and f.
     """
     n, N = spec.n, spec.N
     block = min(trials, max(1, BLOCK_VALUES // N**n))
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        ints = rng.integers(0, N, size=(size, 4 * n + 2))
+        cols = rng.integers(0, N, size=(size, 4 * n + 2) + (1,) * n)
         parts = rng.standard_normal((size, 2) + spec.shape)
-        yield ints, parts[:, 0] + 1j * parts[:, 1]
+        p, q, p2, q2 = (tuple(cols[:, k + a] for a in range(n))
+                        for k in (0, n, 2 * n + 1, 3 * n + 1))
+        yield (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1]), parts[:, 0] + 1j * parts[:, 1]
 
 
 def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,17 +109,14 @@ def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(a - b), axis=None))
 
 
-def _rep_deviations(spec: grid.GridSpec, ints: np.ndarray, f: np.ndarray) -> Tuple[float, ...]:
+def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray) -> Tuple[float, ...]:
     """The largest Weyl-relation, homomorphism and inverse deviations over a
     block of trials, each operator one `grid._monomial` stack applied by
     `grid._apply`, the formula `grid.rep` applies, so each trial's deviations
     keep the bytes of applying `grid.rep` to it alone."""
-    n, N = spec.n, spec.N
-    roots = grid._tables(n, N)[0]
-    # one component per column, shaped (B,) + (1,) * n to broadcast against the grid
-    cols = ints.reshape(ints.shape + (1,) * n)
-    p, q, p2, q2 = (tuple(cols[:, k + a] for a in range(n)) for k in (0, n, 2 * n + 1, 3 * n + 1))
-    g, g2 = (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1])
+    N = spec.N
+    roots = grid._tables(spec.n, N)[0]
+    p, q, _ = g
 
     def rep(p, q, s):  # the stack rep(p, q, s) as `grid._apply` takes it
         move, exponent, central = grid._monomial(p, q, s, spec)
@@ -163,13 +164,12 @@ def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
     lines = [f"rep-check: n={n} N={N} L=1 lambda=1 trials={trials} seed={seed}"]
 
     max_weyl = max_hom = max_inv = 0.0
-    for block, (ints, f) in enumerate(_rep_blocks(rng, spec, trials)):
-        if block == 0:
-            first = ints[0].tolist()
-            p, q, p2, q2 = (tuple(first[k:k + n]) for k in (0, n, 2 * n + 1, 3 * n + 1))
-            lines.append(f"first sample: p={p} q={q} s={first[2 * n]} p'={p2} q'={q2} "
-                         f"s'={first[4 * n + 1]}")
-        weyl, hom, inv = _rep_deviations(spec, ints, f)
+    for block, (g, g2, f) in enumerate(_rep_blocks(rng, spec, trials)):
+        if block == 0:  # the first trial's integers, as Python ints
+            p, q, p2, q2 = (tuple(c.item(0) for c in v) for v in (g[0], g[1], g2[0], g2[1]))
+            lines.append(f"first sample: p={p} q={q} s={g[2].item(0)} p'={p2} q'={q2} "
+                         f"s'={g2[2].item(0)}")
+        weyl, hom, inv = _rep_deviations(spec, g, g2, f)
         max_weyl, max_hom, max_inv = max(max_weyl, weyl), max(max_hom, hom), max(max_inv, inv)
 
     violations = _kernel_violations(spec)
@@ -196,7 +196,8 @@ def commutator_check(N: int) -> Tuple[str, bool]:
     defects = []
     for spec in (coarse, grid.GridSpec(1, 2 * coarse.N)):
         samples = np.sin(2.0 * np.pi * (np.arange(spec.N) * spec.h))
-        defects.append(grid.commutator_defect((1.0,), (1.0,), grid.GridFunction(spec, samples)))
+        f = grid.GridFunction._wrap(spec, samples.astype(np.complex128))
+        defects.append(grid.commutator_defect((1.0,), (1.0,), f))
     ratio = defects[0] / defects[1]
     lines = [
         # no period is read (h cancels), but report readers compare L=1 byte for byte

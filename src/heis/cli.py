@@ -202,7 +202,9 @@ def _read(verb: str, argv: List[str]) -> Optional[SimpleNamespace]:
     argv, and alone prints help and usage errors."""
     end = argv.index("--") if "--" in argv else len(argv)
     if end == len(argv) - 1 or "--" in argv[end + 1:]:
-        return None  # Python 3.11 may refuse a trailing `--`, and read a value `--` as []
+        # `main` drops a lone trailing `--`, but this reader still equals argparse on
+        # every argv: Python 3.11 refuses some trailing `--` (`relcheck --n 1 --`)
+        return None  # and reads a value `--` as []
     declared, given, plain, tokens = dict(VERBS[verb].args), {}, [], iter(argv[:end])
     for token in tokens:
         name, eq, value = token.partition("=")

@@ -153,10 +153,7 @@ def coset_reduce(g: RealElement) -> CosetReduction:
     if not math.isfinite(central):
         raise ParameterError(f"t + x . l overflows to {central} in coset reduction")
     m, rt = _frac_split(central)
-    out = object.__new__(CosetReduction)  # cheaper than calling its __init__
-    fields = out.__dict__
-    fields["k"], fields["l"], fields["m"], fields["rep"] = k, l, m, _real(rx, ry, rt)
-    return out
+    return CosetReduction(k, l, m, _real(rx, ry, rt))
 
 
 def embed_integer(k: Sequence[int], l: Sequence[int], m: int) -> RealElement:

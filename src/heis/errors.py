@@ -13,10 +13,12 @@ has one validator here, and no other code repeats its test:
 - `finite_scalar(v, convert, name)`: one finite number, such as a central
   coordinate, a dilation parameter or an operator's scalar.
 
-Operation outputs skip those checks: each value type has one unchecked
-builder beside it (`core._real`, `lattice._element`, `siegel._complex`, ...)
-that writes every field by name into the instance `__dict__` (a frozen
-`heis._Value` forbids attribute assignment only).  The groups are closed under
+What the library computed skips those checks: each value type has one
+unchecked builder beside it (`core._real`, `lattice._element`, ...,
+`GridFunction._wrap`) that writes every field by name into the instance (a
+frozen `heis._Value` forbids attribute assignment only), so a value has two
+ways in; `CosetReduction` and `RelationReport` have only a constructor,
+which checks nothing.  The groups are closed under
 their operations, so a float overflow is the one way such an output can be
 invalid: `finite_triple` ((x, y, t) outputs) and `finite_pair` ((vector,
 scalar) outputs) keep that one test, then call the builder they are given.

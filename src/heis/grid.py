@@ -122,8 +122,8 @@ class GridFunction:
     def _wrap(cls, spec: GridSpec, arr: np.ndarray) -> "GridFunction":
         """Adopt a freshly computed array without copying or re-validating.
 
-        Only for operator outputs: the array must be owned by the caller and
-        already have the grid's shape.
+        For any array the library computed: it must be owned by the caller,
+        have the grid's shape and hold complex128 samples.
         """
         obj = object.__new__(cls)
         arr.setflags(write=False)
@@ -413,16 +413,16 @@ def read_grid_function(stream: TextIO) -> GridFunction:
     try:
         header = stream.readline().split()
         if len(header) != 2:
-            raise ParameterError("malformed grid function file: the header must be `n N`")
+            raise ValueError("the header must be `n N`")
         spec = GridSpec(int(header[0]), int(header[1]))
         values = []
         for line in filter(str.strip, stream):
             parts = line.split()
             if len(parts) != 2:
-                raise ParameterError(f"expected `re im`, got {line.strip()!r}")
+                raise ValueError(f"expected `re im`, got {line.strip()!r}")
             values.append(complex(float(parts[0]), float(parts[1])))
-    except ValueError as exc:
+        if len(values) != spec.N**spec.n:
+            raise ValueError(f"expected {spec.N**spec.n} samples, got {len(values)}")
+    except ValueError as exc:  # every malformed part of the file, under one prefix
         raise ParameterError(f"malformed grid function file: {exc}") from None
-    if len(values) != spec.N**spec.n:
-        raise ParameterError(f"expected {spec.N**spec.n} samples, got {len(values)}")
     return GridFunction(spec, np.array(values))

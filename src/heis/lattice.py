@@ -115,8 +115,7 @@ class GeneratorToken(_Value):
     __match_args__ = _fields = ("kind", "index", "exponent")
 
     def __init__(self, kind: str, index: int, exponent: int):
-        if type(index) is not int or type(exponent) is not int:
-            index, exponent = integer(index, "index"), integer(exponent, "exponent")
+        index, exponent = integer(index, "index"), integer(exponent, "exponent")
         if kind == "c":
             if index != 0:
                 raise ParameterError(f"the central generator c takes index 0, got {index}")
@@ -263,27 +262,20 @@ class RelationReport(_Value):
 def check_relations(n: int) -> RelationReport:
     """Evaluate both sides of every defining relation for all index pairs."""
     n = dimension(n)
-    checked = 0
-    bad: List[str] = []
-
-    def expect(label: str, lhs: LatticeElement, rhs: LatticeElement) -> None:
-        nonlocal checked
-        checked += 1
-        if lhs != rhs:
-            bad.append(f"{label}: {lhs} != {rhs}")
-
-    a = [_power(GeneratorToken("a", j, 1), n) for j in range(1, n + 1)]
-    b = [_power(GeneratorToken("b", j, 1), n) for j in range(1, n + 1)]
-    c = gen_c(n)
+    a = [_power(_token("a", j, 1), n) for j in range(1, n + 1)]
+    b = [_power(_token("b", j, 1), n) for j in range(1, n + 1)]
+    c = _power(_token("c", 0, 1), n)
+    relations = []  # (label, lhs, rhs)
     for i in range(1, n + 1):
         ai, bi = a[i - 1], b[i - 1]
-        expect(f"a{i} c = c a{i}", lmul(ai, c), lmul(c, ai))
-        expect(f"b{i} c = c b{i}", lmul(bi, c), lmul(c, bi))
-        expect(f"b{i} a{i} = a{i} b{i} c", lmul(bi, ai), lmul(lmul(ai, bi), c))
+        relations.append((f"a{i} c = c a{i}", lmul(ai, c), lmul(c, ai)))
+        relations.append((f"b{i} c = c b{i}", lmul(bi, c), lmul(c, bi)))
+        relations.append((f"b{i} a{i} = a{i} b{i} c", lmul(bi, ai), lmul(lmul(ai, bi), c)))
         for j in range(1, n + 1):
             aj, bj = a[j - 1], b[j - 1]
-            expect(f"a{i} a{j} = a{j} a{i}", lmul(ai, aj), lmul(aj, ai))
-            expect(f"b{i} b{j} = b{j} b{i}", lmul(bi, bj), lmul(bj, bi))
+            relations.append((f"a{i} a{j} = a{j} a{i}", lmul(ai, aj), lmul(aj, ai)))
+            relations.append((f"b{i} b{j} = b{j} b{i}", lmul(bi, bj), lmul(bj, bi)))
             if i != j:
-                expect(f"a{i} b{j} = b{j} a{i}", lmul(ai, bj), lmul(bj, ai))
-    return RelationReport(checked, tuple(bad))
+                relations.append((f"a{i} b{j} = b{j} a{i}", lmul(ai, bj), lmul(bj, ai)))
+    bad = tuple(f"{label}: {lhs} != {rhs}" for label, lhs, rhs in relations if lhs != rhs)
+    return RelationReport(len(relations), bad)

@@ -72,7 +72,8 @@ def test_fewer_than_ten_pairs_resolve_no_gain():
 
 
 def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
-    """`src_lines` holds each side's total line count of src/heis/*.py."""
+    """`src_lines` holds each side's total line count of src/heis/*.py, and
+    `src_code_lines` those lines that are not blank, a comment or a docstring."""
     sizes = {"parent": {"a.py": 3, "b.py": 4}, "change": {"a.py": 3, "b.py": 1, "c.py": 2}}
     for side, files in sizes.items():
         package = tmp_path / side / "src" / "heis"
@@ -80,6 +81,16 @@ def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
         for name, lines in files.items():
             (package / name).write_text("x = 1\n" * lines)
         (package / "notes.txt").write_text("not counted\n" * 5)
+    # 10 lines, of which 3 are code: `x = ...`, `def f():` and `return x  # ...`
+    (tmp_path / "change" / "src" / "heis" / "d.py").write_text(
+        '"""A module docstring\n\nover three lines."""\n'
+        "# a comment\n"
+        "\n"
+        'x = """a string, not a docstring"""\n'
+        "def f():\n"
+        "    '''One line.'''\n"
+        "    # an indented comment\n"
+        "    return x  # a comment after code\n")
     (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     monkeypatch.setattr(benchpair, "run_once", lambda *args: {
@@ -88,7 +99,9 @@ def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
     assert benchpair.main(["--parent", str(tmp_path / "parent"), "--change",
                            str(tmp_path / "change"), "--workload", "cli-session", "--seed", "1",
                            "--pairs", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["src_lines"] == {"parent": 7, "change": 6}
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 7, "change": 16}
+    assert report["src_code_lines"] == {"parent": 7, "change": 9}
 
 
 CRITERION = "test_03_lattice_normal_form_oracle"

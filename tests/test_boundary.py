@@ -17,6 +17,7 @@ float-overflow test, still names the operation.
 import ast
 import dataclasses
 import inspect
+import io
 import math
 import operator
 import pathlib
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 from heis import checks, core, errors, grid, lattice, siegel, textio
-from heis.errors import DimensionError, ParameterError
+from heis.errors import DimensionError, ParameterError, WordSyntaxError
 
 VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint,
               lattice.Word)
@@ -601,3 +602,46 @@ def test_rep_operator_trusts_what_rep_validated(n, N, monkeypatch):
             out = op(f)
             assert np.array_equal(out.values, values) and not out.values.flags.writeable
     assert calls == []
+
+
+def _f4():
+    return grid.GridFunction(grid.GridSpec(1, 4), [0, 1, 2, 3])
+
+
+# raises of the public boundary that no other test reaches, with their exact messages
+PUBLIC_ERRORS = {
+    "RealElement-lengths": (lambda: core.RealElement((1.0,), (1.0, 2.0), 0), DimensionError,
+                            "x has length 1 but y has length 2"),
+    "GridFunction-shape": (lambda: grid.GridFunction(grid.GridSpec(1, 4), [[1, 2], [3, 4]]),
+                           DimensionError, "values have shape (2, 2), expected (4,)"),
+    "max_abs_diff-grids": (lambda: _f4().max_abs_diff(grid.GridFunction(grid.GridSpec(1, 8),
+                                                                        range(8))),
+                           DimensionError, "grid functions live on different grids"),
+    "apply_T-scalar": (lambda: grid.apply_T(3, _f4()), DimensionError,
+                       "p must be an n-vector of length 1, got shape ()"),
+    "rep-dimension": (lambda: grid.rep(lattice.LatticeElement((1, 2), (0, 0), 0),
+                                       grid.GridSpec(1, 4)),
+                      DimensionError, "triple has dimension 2, grid has 1"),
+    "dense_matrix-size": (lambda: grid.dense_matrix(lambda f: f, grid.GridSpec(1, 512)),
+                          ParameterError, "dense materialization limited to 256 points, got 512"),
+    "read_grid_function-fields": (lambda: grid.read_grid_function(io.StringIO("1 4\n1 2 3\n")),
+                                  ParameterError,
+                                  "malformed grid function file: expected `re im`, got '1 2 3'"),
+    "token_element-index": (lambda: lattice.token_element(lattice.GeneratorToken("a", 3, 1), 2),
+                            DimensionError, "generator index 3 out of range [1, 2]"),
+    "parse_word-character": (lambda: lattice.parse_word("a1x", 1), WordSyntaxError,
+                             "unexpected character 'x' (at offset 2)"),
+    "act-dimensions": (lambda: siegel.act(siegel.ComplexElement((1j,), 0),
+                                          siegel.SiegelPoint((1j, 2j), 5j)),
+                       DimensionError, "dimension mismatch: 1 vs 2"),
+    "act_compose_check-dimensions": (lambda: siegel.act_compose_check(
+        siegel.ComplexElement((1j,), 0), siegel.ComplexElement((1j, 1), 0),
+        siegel.SiegelPoint((1j,), 5j)), DimensionError, "dimension mismatch: 1 vs 2 vs 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", PUBLIC_ERRORS.values(), ids=PUBLIC_ERRORS)
+def test_public_errors_keep_their_type_and_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

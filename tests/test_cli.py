@@ -383,6 +383,16 @@ class TestGridFiles:
         assert code == 3
         assert "malformed grid function file" in err
 
+    @pytest.mark.parametrize("content, message", [
+        ("1 4\n1 2 3\n", "expected `re im`, got '1 2 3'"),
+        ("1 4\n0 0\n", "expected 4 samples, got 1"),
+    ], ids=["fields", "count"])
+    def test_a_bad_sample_line_or_count_names_the_file(self, capsys, tmp_path, content, message):
+        src = tmp_path / "bad.txt"
+        src.write_text(content)
+        code, out, err = run(capsys, "commutator", "--in", str(src))
+        assert (code, out, err) == (3, "", f"error: malformed grid function file: {message}\n")
+
     def test_period_header_is_refused(self, capsys, tmp_path):
         # the grid has no period: an `n N L` header of older files names the format
         src = tmp_path / "old.txt"

@@ -694,3 +694,12 @@ class TestSerialization:
     def test_wrong_count(self):
         with pytest.raises(ParameterError, match="expected 4 samples, got 1"):
             grid.read_grid_function(io.StringIO("1 4\n0 0\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 4\n1 2 3\n", "expected `re im`, got '1 2 3'"),
+        ("1 4\n0 0\n", "expected 4 samples, got 1"),
+    ], ids=["fields", "count"])
+    def test_every_refusal_names_the_file(self, text, message):
+        with pytest.raises(ParameterError) as info:
+            grid.read_grid_function(io.StringIO(text))
+        assert str(info.value) == f"malformed grid function file: {message}"

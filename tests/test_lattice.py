@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heis import core, lattice
+from heis import checks, cli, core, lattice
 from heis.errors import DimensionError, ParameterError, WordSyntaxError
 
 
@@ -165,6 +166,21 @@ class TestRelations:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DimensionError):
             lattice.check_relations(0)
+
+    def test_a_law_without_its_central_term_fails(self, monkeypatch, capsys):
+        """Dropping x' . y from the law breaks exactly b_i a_i = a_i b_i c: the
+        report names each broken relation and the verb exits 4."""
+        monkeypatch.setattr(lattice, "law", lambda x, y, t, x2, y2, t2: (
+            tuple(map(operator.add, x, x2)), tuple(map(operator.add, y, y2)), t + t2))
+        text, ok = checks.relation_check(2)
+        assert not ok
+        assert [line for line in text.splitlines() if line.startswith("counterexample")] == [
+            f"counterexample: b{i} a{i} = a{i} b{i} c: LatticeElement(k={k}, l={k}, m=0) != "
+            f"LatticeElement(k={k}, l={k}, m=1)" for i, k in ((1, (1, 0)), (2, (0, 1)))
+        ] + ["counterexamples: 2"]
+        assert text.endswith("result: FAIL\n")
+        assert cli.main(["relcheck", "--n", "2"]) == 4
+        assert capsys.readouterr().out == text
 
 
 class TestEmbed:

@@ -197,16 +197,27 @@ def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
+def test_a_shift_acting_as_the_identity_fails_the_kernel_check(monkeypatch):
+    """A monomial kernel that drops p makes the unit shift the identity: the
+    kernel check names the violation and fails."""
+    monomial = grid._monomial
+    monkeypatch.setattr(grid, "_monomial",
+                        lambda p, q, s, spec: monomial(tuple(0 * c for c in p), q, s, spec))
+    text, ok = checks.rep_check(1, 8, 5, 0)
+    assert not ok
+    assert "\nkernel violation: nontrivial shift acts as identity\n" in text
+    assert "\nkernel check: FAILED\n" in text
+
+
 @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128)])
 def test_a_large_trial_is_the_scalar_operators(n, N):
     """At 2^14 points a sample function fills 256 KiB, where numpy's `*` reuses a
     temporary with its factors swapped.  A one-trial block's deviations still
     keep the bytes of the scalar operators' products and `max_abs_diff`."""
     spec = grid.GridSpec(n, N)
-    ints, f = next(checks._rep_blocks(np.random.default_rng(3), spec, 1))
-    g, g2 = (grid.QuantizedTriple(tuple(int(v) for v in ints[0, k:k + n]),
-                                  tuple(int(v) for v in ints[0, k + n:k + 2 * n]), int(ints[0, k + 2 * n]))
-             for k in (0, 2 * n + 1))
+    stack, stack2, f = next(checks._rep_blocks(np.random.default_rng(3), spec, 1))
+    g, g2 = (grid.QuantizedTriple(tuple(c.item(0) for c in p), tuple(c.item(0) for c in q), s.item(0))
+             for p, q, s in (stack, stack2))
     F = grid.GridFunction(spec, f[0])
 
     def rep(g):
@@ -219,7 +230,7 @@ def test_a_large_trial_is_the_scalar_operators(n, N):
                rep(grid.QuantizedTriple(p, q, 0))(F).max_abs_diff(grid.apply_C(alpha.conjugate(), ut)))
     hom = rep(g)(rep(g2)(F)).max_abs_diff(rep(grid.triple_mul(g, g2))(F))
     inverse = rep(grid.triple_inverse(g))(rep(g)(F)).max_abs_diff(F)
-    assert checks._rep_deviations(spec, ints, f) == (weyl, hom, inverse)
+    assert checks._rep_deviations(spec, stack, stack2, f) == (weyl, hom, inverse)
 
 
 @pytest.mark.parametrize("n, N", [(1, 2**16), (2, 256)])

@@ -19,7 +19,10 @@ the distance between the parent's quartiles.  Each run's count of attempted
 units sits beside the metrics, in the same order as the runs, so a reader can
 tell whether a metric such as `peak_rss_mib` follows the number of units timed.
 `src_lines` records each checkout's total line count of `src/heis/*.py`, so
-that a change's growth or shrink sits next to its benchmark pairs.
+that a change's growth or shrink sits next to its benchmark pairs, and
+`src_code_lines` the lines of code among them: not blank, not a comment and
+not inside a docstring, so that deleting prose does not read as a smaller
+program.
 
 Each `--test ID` names a criterion of `tests/test_acceptance.py`.  Pair i runs
 it once in each checkout, each time in a fresh `python -m pytest` process, in
@@ -41,6 +44,7 @@ the pairs it finished.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -117,6 +121,22 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "heis").glob("*.py"))
 
 
+def src_code_lines(checkout: Path) -> int:
+    """The lines of `src/heis/*.py` in `checkout` that are not blank, not a
+    comment and not inside a module, class or function docstring."""
+    total = 0
+    for path in (checkout / "src" / "heis").glob("*.py"):
+        text = path.read_text()
+        prose = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                prose.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        total += sum(1 for number, line in enumerate(text.splitlines(), 1)
+                     if number not in prose and line.strip() and not line.lstrip().startswith("#"))
+    return total
+
+
 def summary(values: list) -> dict:
     if len(values) == 1:
         return {"median": values[0], "q1": values[0], "q3": values[0]}
@@ -188,6 +208,7 @@ def main(argv=None) -> int:
                 "perfbench/hostspeed.py",
         "pairs_alternated": "odd pairs run the parent first, even pairs the change first",
         "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
+        "src_code_lines": {side: src_code_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
     if args.test:
