@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
+import sys
+import types
 
 import pytest
 
@@ -163,43 +166,113 @@ def test_what_to_run_is_a_usage_error_when_missing(tmp_path, extra, message, cap
     assert info.value.code == 2 and message in capsys.readouterr().err
 
 
+SIZED_ROWS = {
+    "rep-check@2^20": ["rep-check", "--n", "1", "--N", "1048576", "--trials", "1", "--seed", "0"],
+    "rep-check@n2-N64": ["rep-check", "--n", "2", "--N", "64", "--trials", "200", "--seed", "0"],
+    "siegel-check@n200": ["siegel-check", "--n", "200", "--trials", "4096", "--seed", "0"],
+    "siegel-check@n3-1e5": ["siegel-check", "--n", "3", "--trials", "100000", "--seed", "0"],
+}
+
+
 def test_every_verb_has_a_fixed_argv():
-    assert list(benchpair.VERB_ARGV) == list(cli.VERBS)
-    assert all(argv[0] == verb for verb, argv in benchpair.VERB_ARGV.items())
+    """A row per verb, in the CLI's order, then the check verbs at sizes
+    where their own work outweighs start-up; a row's argv runs its verb."""
+    verbs = list(cli.VERBS)
+    assert list(benchpair.VERB_ARGV) == verbs + list(SIZED_ROWS)
+    assert {row: benchpair.VERB_ARGV[row] for row in SIZED_ROWS} == SIZED_ROWS
+    assert all(argv[0] == row.split("@")[0] for row, argv in benchpair.VERB_ARGV.items())
+
+
+class FakeChild:
+    """`subprocess.Popen` for `run_child`: records each child's checkout, and
+    `wait4` reaps it with a peak RSS in KiB that depends on the side."""
+
+    def __init__(self, code=0):
+        self.calls, self.argv, self.code = [], [], code
+
+    def popen(self, cmd, cwd, env, stdout, stderr):
+        self.calls.append(pathlib.Path(cwd).name)
+        self.argv.append(cmd[3:])
+        assert env["PYTHONPATH"] == str(pathlib.Path(cwd) / "src")
+        assert cmd[:3] == [sys.executable, "-m", "heis.cli"] and stdout is subprocess.DEVNULL
+        if self.code:
+            stderr.write(b"error: bad\n")
+        return types.SimpleNamespace(pid=4242, returncode=None, kill=lambda: None)
+
+    def wait4(self, pid, options):
+        assert pid == 4242 and options == 0
+        kib = {"parent": 200 * 1024, "change": 150 * 1024}[self.calls[-1]]
+        return pid, self.code << 8, types.SimpleNamespace(ru_maxrss=kib + len(self.calls))
+
+
+def fake_children(monkeypatch, code=0):
+    child = FakeChild(code)
+    monkeypatch.setattr(benchpair.subprocess, "Popen", child.popen)
+    monkeypatch.setattr(benchpair.os, "wait4", child.wait4)
+    return child
 
 
 def test_verb_pairs_alternate_fresh_processes_on_each_checkout(tmp_path, monkeypatch):
-    """--verb runs `python -m heis.cli` on the verb's argv once per side and
-    pair, alternating which side goes first, each on its own sources."""
-    calls = []
-
-    def fake_run(cmd, cwd, env, **kwargs):
-        calls.append(pathlib.Path(cwd).name)
-        assert env["PYTHONPATH"] == str(pathlib.Path(cwd) / "src")
-        assert cmd[1:] == ["-m", "heis.cli"] + benchpair.VERB_ARGV[cmd[3]]
-        return subprocess.CompletedProcess(cmd, 0, "", "")
-
-    monkeypatch.setattr(benchpair.subprocess, "run", fake_run)
+    """--verb runs `python -m heis.cli` on the row's argv once per side and
+    pair, alternating which side goes first, each on its own sources, and
+    keeps each child's own peak RSS beside its seconds."""
+    child = fake_children(monkeypatch)
     out = tmp_path / "bench.json"
-    assert benchpair.main(checkouts(tmp_path) + ["--verb", "mul", "--verb", "rep-check",
+    assert benchpair.main(checkouts(tmp_path) + ["--verb", "mul", "--verb", "rep-check@2^20",
                                                  "--pairs", "3", "--out", str(out)]) == 0
-    assert calls == ["parent", "change", "change", "parent", "parent", "change"] * 2
+    assert child.calls == ["parent", "change", "change", "parent", "parent", "change"] * 2
+    assert child.argv == [benchpair.VERB_ARGV[row] for row in ("mul", "rep-check@2^20")
+                          for _ in range(6)]
     report = json.loads(out.read_text())
     assert report["workloads"] == {} and "acceptance" not in report
     assert report["verb_argv"] == {verb: benchpair.VERB_ARGV[verb]
-                                   for verb in ("mul", "rep-check")}
-    assert list(report["verbs"]) == ["mul", "rep-check"]
+                                   for verb in ("mul", "rep-check@2^20")}
+    assert list(report["verbs"]) == ["mul", "rep-check@2^20"]
     for got in report["verbs"].values():
         assert got["pairs"] == 3
         assert got["unit"] == "s" and got["better"] == "lower" and "bound" not in got
         assert {len(runs) for runs in got["runs"].values()} == {3}
         assert set(got["parent"]) == set(got["change"]) == {"median", "q1", "q3"}
         assert {"change_wins", "parent_iqr", "relative_change", "gain_resolved"} <= set(got)
+        rss = got["peak_rss_mib"]
+        assert rss["unit"] == "MiB" and rss["better"] == "lower" and "bound" not in rss
+        assert set(rss) == set(got) - {"pairs", "peak_rss_mib"}
+        assert rss["change_wins"] == "3/3"
+    # the k-th child read 200 or 150 MiB and k KiB, in the order the children ran
+    assert report["verbs"]["mul"]["peak_rss_mib"]["runs"] == {
+        "parent": [200 + 1 / 1024, 200 + 4 / 1024, 200 + 5 / 1024],
+        "change": [150 + 2 / 1024, 150 + 3 / 1024, 150 + 6 / 1024]}
 
 
 def test_a_failing_verb_stops_the_comparison(tmp_path, monkeypatch):
-    monkeypatch.setattr(benchpair.subprocess, "run", lambda cmd, **kwargs:
-                        subprocess.CompletedProcess(cmd, 3, "", "error: bad\n"))
-    with pytest.raises(SystemExit, match="exited 3"):
+    fake_children(monkeypatch, code=3)
+    with pytest.raises(SystemExit, match="exited 3:\nerror: bad"):
         benchpair.main(checkouts(tmp_path) + ["--verb", "mul", "--pairs", "1",
                                               "--out", str(tmp_path / "bench.json")])
+
+
+def test_each_child_reads_its_own_peak_rss():
+    """A child that holds a 96 MiB string reads 64 MiB more than one that holds
+    32 MiB, and a 32 MiB child reaped after the 96 MiB one reads its own
+    figure, not the largest child's so far (RUSAGE_CHILDREN would).
+
+    Linux starts a child's peak from its parent's resident set at the fork,
+    so the children are started from a fresh interpreter, not from pytest.
+    Both strings sit above that start, so 1 MiB covers the noise."""
+    helper = (f"import importlib.util, json, os, sys\n"
+              f"spec = importlib.util.spec_from_file_location('b', {str(spec.origin)!r})\n"
+              "b = importlib.util.module_from_spec(spec)\n"
+              "spec.loader.exec_module(b)\n"
+              "print(json.dumps([b.run_child([sys.executable, '-c', f'x = b\"x\" * ({mib} << 20)'], "
+              "'.', dict(os.environ))[1] for mib in (32, 96, 32)]))\n")
+    proc = subprocess.run([sys.executable, "-c", helper], capture_output=True, text=True,
+                          timeout=120, check=True)
+    small, large, small_after = json.loads(proc.stdout)
+    assert large - small > 64 - 1
+    assert abs(small_after - small) < 1
+
+
+def test_a_child_past_its_timeout_is_killed():
+    with pytest.raises(SystemExit, match="exited -9"):
+        benchpair.run_child([sys.executable, "-c", "import time; time.sleep(60)"], ROOT,
+                            dict(os.environ), timeout=0.5)

@@ -182,6 +182,13 @@ class TestRelations:
         assert cli.main(["relcheck", "--n", "2"]) == 4
         assert capsys.readouterr().out == text
 
+    @pytest.mark.parametrize("n, shown", [(True, 1), (np.int64(2), 2), (3, 3)])
+    def test_the_header_prints_the_dimension_checked(self, n, shown):
+        """The header names the int dimension that was checked, not the
+        argument as given: True checks n = 1."""
+        text, ok = checks.relation_check(n)
+        assert ok and text.startswith(f"relcheck: n={shown}\nrelations checked: ")
+
 
 class TestEmbed:
     @given(triples(2, bound=50), triples(2, bound=50))

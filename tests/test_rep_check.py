@@ -70,9 +70,9 @@ def kernel_inputs(monkeypatch):
             stacks.append(_triples(p, q, s))
         return monomial(p, q, s, spec)
 
-    def spy_apply(move, phases, alpha, values):
+    def spy_apply(move, phases, alpha, values, out=None):
         samples.append(values)
-        return apply(move, phases, alpha, values)
+        return apply(move, phases, alpha, values, out)
 
     monkeypatch.setattr(grid, "_monomial", spy_monomial)
     monkeypatch.setattr(grid, "_apply", spy_apply)
@@ -190,8 +190,8 @@ def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
     spec, g = grid.GridSpec(1, 8), grid.QuantizedTriple((3,), (5,), 1)
     f = grid.GridFunction(spec, np.arange(8))
     before = grid.rep(g, spec)(f).values
-    monkeypatch.setattr(grid, "_apply",
-                        lambda move, phases, alpha, values: phases * (alpha * values).take(move))
+    monkeypatch.setattr(grid, "_apply", lambda move, phases, alpha, values, out=None:
+                        phases * (alpha * values).take(move))
     assert not np.allclose(grid.rep(g, spec)(f).values, before)
     assert cli.main(["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]) == 4
     assert capsys.readouterr().out.endswith("result: FAIL\n")
@@ -207,6 +207,68 @@ def test_a_shift_acting_as_the_identity_fails_the_kernel_check(monkeypatch):
     assert not ok
     assert "\nkernel violation: nontrivial shift acts as identity\n" in text
     assert "\nkernel check: FAILED\n" in text
+
+
+def _shift_dropped(monomial):
+    return lambda p, q, s, spec: monomial(tuple(0 * c for c in p), q, s, spec)
+
+
+def _identity_negated(is_identity):
+    return lambda data, spec: ~is_identity(data, spec)
+
+
+@pytest.mark.parametrize("kernel, mutant, violation", [
+    ("_monomial", _shift_dropped, "kernel violation: nontrivial shift acts as identity"),
+    ("_is_identity", _identity_negated, "kernel violation at s=1"),
+], ids=["shift-dropped", "identity-negated"])
+def test_the_kept_kernel_check_cannot_hide_a_broken_kernel(kernel, mutant, violation,
+                                                           monkeypatch, capsys):
+    """The kernel check is kept per size and per kernel function: after a run
+    at this size has kept a passing check, a broken kernel still fails it,
+    and the kernel restored passes again, all in one process."""
+    argv = ["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]
+    assert checks.rep_check(1, 8, 20, 0)[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, kernel, mutant(getattr(grid, kernel)))
+        assert cli.main(argv) == 4
+        out = capsys.readouterr().out
+        assert f"\n{violation}\n" in out and "\nkernel check: FAILED\n" in out
+    assert cli.main(argv) == 0
+    assert "\nkernel check: ok\nresult: PASS\n" in capsys.readouterr().out
+
+
+def test_the_kernel_check_runs_once_per_size(monkeypatch):
+    """Runs at one size share one kernel check; a new size makes its own."""
+    specs = []
+    is_identity = grid._is_identity
+
+    def spy(data, spec):
+        specs.append((spec.n, spec.N))
+        return is_identity(data, spec)
+
+    monkeypatch.setattr(grid, "_is_identity", spy)
+    for seed in range(3):
+        assert checks.rep_check(1, 8, 20, seed)[1]
+    assert specs == [(1, 8)] * 2  # the central elements, then the unit shift
+    assert checks.rep_check(2, 8, 20, 0)[1]
+    assert specs == [(1, 8)] * 2 + [(2, 8)] * 2
+
+
+def test_a_block_after_the_first_reuses_its_arrays(monkeypatch):
+    """The products of every block go into the arrays that the first block
+    made: later blocks hand `grid._apply` the same output arrays."""
+    outputs = []
+    apply = grid._apply
+
+    def spy(move, phases, alpha, values, out=None):
+        outputs.append(tuple(o.__array_interface__["data"][0] for o in out))
+        return apply(move, phases, alpha, values, out)
+
+    monkeypatch.setattr(grid, "_apply", spy)
+    monkeypatch.setattr(checks, "BLOCK_VALUES", 2 * 4**2)  # blocks of 2, 2, 2 and 1 trials
+    assert checks.rep_check(2, 4, 7, 3)[1]
+    assert len(outputs) == 4 * 7  # seven applications a block
+    assert set(outputs[7:]) <= set(outputs[:7])
 
 
 @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128)])
@@ -230,7 +292,8 @@ def test_a_large_trial_is_the_scalar_operators(n, N):
                rep(grid.QuantizedTriple(p, q, 0))(F).max_abs_diff(grid.apply_C(alpha.conjugate(), ut)))
     hom = rep(g)(rep(g2)(F)).max_abs_diff(rep(grid.triple_mul(g, g2))(F))
     inverse = rep(grid.triple_inverse(g))(rep(g)(F)).max_abs_diff(F)
-    assert checks._rep_deviations(spec, stack, stack2, f) == (weyl, hom, inverse)
+    work = np.empty((3,) + f.shape, complex)
+    assert checks._rep_deviations(spec, stack, stack2, f, work) == (weyl, hom, inverse)
 
 
 @pytest.mark.parametrize("n, N", [(1, 2**16), (2, 256)])

@@ -4,7 +4,8 @@ Each case names an argv of `heis`; its exact stdout is stored in
 `tests/golden/<case>.txt`.  The reports print seeded samples and deviations
 to three significant digits, so any change to the sampling order, the
 operators or the report format shows up here.  The first rep-check cases are
-the argv that perfbench's cli-session workload runs.
+the argv that perfbench's cli-session workload runs; two more run several
+blocks of trials, so that the blocks' shared arrays are pinned too.
 
 To regenerate the files after a deliberate change of the reports:
 
@@ -31,6 +32,11 @@ CASES = {
                                     "--seed", str(s)] for s in (0, 7)},
     "rep-check-n2-N16-seed3": ["rep-check", "--n", "2", "--N", "16", "--trials", "3", "--seed", "3"],
     "rep-check-defaults-seed0": ["rep-check", "--seed", "0"],
+    # several blocks: 256, 256 and 88 trials; then two blocks of one trial each
+    "rep-check-n2-N16-trials600-seed1": ["rep-check", "--n", "2", "--N", "16", "--trials", "600",
+                                         "--seed", "1"],
+    "rep-check-n1-N131072-trials2-seed1": ["rep-check", "--n", "1", "--N", "131072",
+                                           "--trials", "2", "--seed", "1"],
     **{f"siegel-check-n{n}-seed{s}": ["siegel-check", "--n", str(n), "--trials", "20",
                                       "--seed", str(s)] for n in (1, 2, 3) for s in (0, 5)},
     **{f"relcheck-n{n}": ["relcheck", "--n", str(n)] for n in (1, 2, 3)},

@@ -31,12 +31,19 @@ the same alternating order, and records the call-phase seconds that pytest's
 `acceptance` holds the same spread, pair wins and `gain_resolved` as a
 workload metric, with no bound: it is a reading, not a gate.
 
-Each `--verb NAME` names a `heis` verb, run on the fixed argv in `VERB_ARGV`.
-Pair i times one fresh `python -m heis.cli <argv>` process in each checkout,
-with PYTHONPATH set to that checkout's `src` alone, in the same alternating
-order: the wall seconds from start to exit, unscaled, start-up included.  Per
-verb, `verb_argv` holds the argv and `verbs` the same spread, pair wins and
-`gain_resolved` as a criterion, again with no bound.
+Each `--verb NAME` names a row of `VERB_ARGV`: a `heis` verb on a fixed
+argv, or `VERB@SIZE`, the verb at a realistic size.  Pair i times one fresh
+`python -m heis.cli <argv>` process in each checkout, with PYTHONPATH set to
+that checkout's `src` alone, in the same alternating order: the wall seconds
+from start to exit, unscaled, start-up included, and the process's own peak
+resident set (`ru_maxrss` from `os.wait4` on its pid, not RUSAGE_CHILDREN,
+which keeps the largest child so far).  Linux starts a child's peak at the
+resident set of the process that forked it, so no reading falls below
+benchpair's own, about 15 MiB: the numpy-free verbs read that floor, the
+check verbs (35 MiB and up) their own.  Per row,
+`verb_argv` holds the argv and `verbs` the seconds' spread, pair wins and
+`gain_resolved` as a criterion's, again with no bound, and the same for the
+MiB under `peak_rss_mib`.
 The file is rewritten after each pair, so an interrupted comparison keeps
 the pairs it finished.
 """
@@ -52,13 +59,16 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 
 # one fixed argv per heis verb: the single operations on small literals, the
-# check verbs at their default sizes
+# check verbs at their default sizes; then VERB@SIZE rows, check verbs at sizes
+# where their own work outweighs start-up
 VERB_ARGV = {
     "mul": ["mul", "--n", "2", "1,2;3,4;5", "-1,0.5;2,-3;0.25"],
     "inv": ["inv", "--n", "2", "1,2;3,4;5"],
@@ -73,6 +83,10 @@ VERB_ARGV = {
     "siegel-mul": ["siegel-mul", "--n", "2", "1+2i,3-1i;5", "-2+0.5i,1i;-1"],
     "siegel-act": ["siegel-act", "--n", "2", "1+2i,3-1i;5", "0.5,1i;2+20i"],
     "siegel-check": ["siegel-check", "--n", "2", "--seed", "0"],
+    "rep-check@2^20": ["rep-check", "--n", "1", "--N", "1048576", "--trials", "1", "--seed", "0"],
+    "rep-check@n2-N64": ["rep-check", "--n", "2", "--N", "64", "--trials", "200", "--seed", "0"],
+    "siegel-check@n200": ["siegel-check", "--n", "200", "--trials", "4096", "--seed", "0"],
+    "siegel-check@n3-1e5": ["siegel-check", "--n", "3", "--trials", "100000", "--seed", "0"],
 }
 
 
@@ -102,18 +116,34 @@ def run_test(checkout: Path, test: str) -> float:
     return float(call[1])
 
 
-def run_verb(checkout: Path, verb: str) -> float:
-    """The wall seconds of one fresh `python -m heis.cli` process running
-    `verb`'s fixed argv on `checkout`'s sources."""
-    cmd = [sys.executable, "-m", "heis.cli", *VERB_ARGV[verb]]
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=600)
-    seconds = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    return seconds
+def run_child(cmd: list, cwd: Path, env: dict, timeout: float = 600) -> tuple:
+    """The wall seconds and the peak resident MiB of one process running
+    `cmd`, its stdout discarded; a process still running after `timeout`
+    seconds is killed.  A nonzero exit stops the comparison."""
+    with tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+        timer = threading.Timer(timeout, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)  # this process's own figures
+        finally:
+            timer.cancel()
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        if proc.returncode != 0:
+            stderr.seek(0)
+            raise SystemExit(f"error: {' '.join(cmd)} in {cwd} exited {proc.returncode}:\n"
+                             f"{stderr.read()[-2000:].decode(errors='replace')}")
+    return seconds, usage.ru_maxrss / 1024  # Linux counts ru_maxrss in KiB
+
+
+def run_verb(checkout: Path, verb: str) -> tuple:
+    """The wall seconds and the peak resident MiB of one fresh
+    `python -m heis.cli` process running `verb`'s row of `VERB_ARGV` on
+    `checkout`'s sources."""
+    return run_child([sys.executable, "-m", "heis.cli", *VERB_ARGV[verb]], checkout,
+                     {**os.environ, "PYTHONPATH": str(checkout / "src")})
 
 
 def src_lines(checkout: Path) -> int:
@@ -186,7 +216,7 @@ def main(argv=None) -> int:
     parser.add_argument("--test", action="append", default=[],
                         help="a tests/test_acceptance.py criterion to time; repeatable")
     parser.add_argument("--verb", action="append", default=[], choices=VERB_ARGV,
-                        help="a heis verb to time in fresh processes; repeatable")
+                        help="a row of VERB_ARGV to time in fresh processes; repeatable")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
@@ -217,7 +247,7 @@ def main(argv=None) -> int:
         report["acceptance"] = {}
     if args.verb:
         report["verb_command"] = ("PYTHONPATH=<checkout>/src python -m heis.cli ARGV, one fresh "
-                                  "process; wall seconds, unscaled")
+                                  "process; wall seconds, unscaled, and its own ru_maxrss")
         report["verb_argv"] = {verb: VERB_ARGV[verb] for verb in args.verb}
         report["verbs"] = {}
     for workload in args.workload:
@@ -242,16 +272,23 @@ def main(argv=None) -> int:
                     for side in SIDES}) for spec in specs},
             }
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    timed = ([("acceptance", test, run_test) for test in args.test]
+    # each run's readings: (seconds,) for a criterion, (seconds, MiB) for a verb
+    timed = ([("acceptance", test, lambda *at: (run_test(*at),)) for test in args.test]
              + [("verbs", verb, run_verb) for verb in args.verb])
     for section, name, run in timed:
-        times = {side: [] for side in SIDES}
+        readings = {side: [] for side in SIDES}
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                times[side].append(run(checkouts[side], name))
-                print(f"{name} pair {i + 1}/{args.pairs} {side}: {times[side][-1]} s",
+                readings[side].append(run(checkouts[side], name))
+                print(f"{name} pair {i + 1}/{args.pairs} {side}: {readings[side][-1]}",
                       file=sys.stderr)
-            report[section][name] = {"pairs": i + 1, **verdict("s", "lower", times)}
+
+            def column(k):
+                return {side: [r[k] for r in readings[side]] for side in SIDES}
+
+            report[section][name] = {"pairs": i + 1, **verdict("s", "lower", column(0))}
+            if section == "verbs":
+                report[section][name]["peak_rss_mib"] = verdict("MiB", "lower", column(1))
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
