@@ -26,12 +26,12 @@ K means redrawing every block up to the one that holds K.  rep-check runs
 each block through `grid._monomial` as stacks, each operator's phases read
 once and applied by `grid._apply`, the one formula `grid.rep` applies: both
 orientations of the Weyl relation, the homomorphism and the inverse.  A
-block holds f (its draw is gone), rep(g)'s and one more operator's integer
-data and phases, and three complex arrays that the first block makes and
-every block reuses for its products and deviations.  The kernel check reads
+block holds f (its draw is freed first), rep(g)'s integer data and phases,
+and one stage's operators and products at a time.  The kernel check reads
 the operators' integer data, O(N^n + N), once per (n, N) and kernel
-functions in a process: it is kept for 16 sizes, keyed on `grid._monomial`
-and `grid._is_identity` too, so a patched kernel is checked afresh.
+functions in a process, before the first block: it is kept for 16 sizes,
+keyed on `grid._monomial` and `grid._is_identity` too, so a patched kernel
+is checked afresh.
 
 siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
@@ -111,40 +111,39 @@ def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
         yield (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1]), f
 
 
-def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray,
-                    work: np.ndarray) -> Tuple[float, ...]:
+def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over every trial and point, as `GridFunction.max_abs_diff`."""
+    return float(np.maximum.reduce(np.abs(a - b), axis=None))
+
+
+def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray) -> Tuple[float, ...]:
     """The largest Weyl-relation, homomorphism and inverse deviations over a
     block of trials, each operator one `grid._monomial` stack applied by
     `grid._apply`, the formula `grid.rep` applies, so each trial's deviations
-    keep the bytes of applying `grid.rep` to it alone.  Every product and
-    deviation goes into `work`, a complex array of shape (3,) + a block's
-    shape, which the blocks of a run share."""
+    keep the bytes of applying `grid.rep` to it alone."""
     N = spec.N
     roots = grid._tables(spec.n, N)[0]
-    a, b, c = work[:, :len(f)]
-    dev = np.ndarray(b.shape, np.float64, b)  # floats over b's memory: b is spare at each deviation
     p, q, _ = g
 
     def rep(p, q, s):  # the stack rep(p, q, s) as `grid._apply` takes it
         move, exponent, central = grid._monomial(p, q, s, spec)
         return move, roots[exponent], roots[central]
 
-    def deviation(x, y):  # max |x - y|, as `GridFunction.max_abs_diff`; x is overwritten
-        return float(np.maximum.reduce(np.abs(np.subtract(x, y, out=x), out=dev), axis=None))
-
-    # U T = T U C_alpha, and the reverse orientation with conj(alpha); apply_U's
-    # factor order at any size, as in `grid._apply`
+    # U T = T U C_alpha, and the reverse orientation with conj(alpha)
     rep_g = move, phases, _ = rep(*g)
     alpha = roots[sum(map(operator.mul, q, p)) % N]
-    ut = np.multiply(phases, f.take(move, out=a, mode="clip"), out=a)
-    weyl = max(deviation(grid._apply(move, phases, alpha, f, out=(b, c)), ut),
-               deviation(grid._apply(move, phases, 1, f, out=(b, c)),
-                         np.multiply(alpha.conj(), ut, out=ut)))
-    composed = grid._apply(*rep_g, grid._apply(*rep(*g2), f, out=(a, b)), out=(b, a))
-    hom = deviation(composed, grid._apply(*rep(*core.law(*g, *g2)), f, out=(b, c)))
-    undone = grid._apply(*rep(*core.law_inverse(*g)), grid._apply(*rep_g, f, out=(a, b)),
-                         out=(b, a))
-    return weyl, hom, deviation(undone, f)
+    ut = f.take(move)
+    np.multiply(phases, ut, out=ut)  # apply_U's factor order at any size, as in `grid._apply`
+    weyl = max(_max_dev(ut, grid._apply(move, phases, alpha, f)),
+               _max_dev(grid._apply(move, phases, 1, f), alpha.conj() * ut))
+    del ut  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
+
+    direct = grid._apply(*rep(*core.law(*g, *g2)), f)
+    composed = grid._apply(*rep_g, grid._apply(*rep(*g2), f))
+    hom = _max_dev(composed, direct)
+    del direct, composed
+    undone = grid._apply(*rep(*core.law_inverse(*g)), grid._apply(*rep_g, f))
+    return weyl, hom, _max_dev(undone, f)
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,8 +179,7 @@ def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
             p, q, p2, q2 = (tuple(c.item(0) for c in v) for v in (g[0], g[1], g2[0], g2[1]))
             lines.append(f"first sample: p={p} q={q} s={g[2].item(0)} p'={p2} q'={q2} "
                          f"s'={g2[2].item(0)}")
-            work = np.empty((3,) + f.shape, np.complex128)  # the first block is the largest
-        weyl, hom, inv = _rep_deviations(spec, g, g2, f, work)
+        weyl, hom, inv = _rep_deviations(spec, g, g2, f)
         max_weyl, max_hom, max_inv = max(max_weyl, weyl), max(max_hom, hom), max(max_inv, inv)
 
     lines.extend(violations)

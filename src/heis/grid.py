@@ -34,8 +34,7 @@ cache keyed by (n, N) and the residues of p or q mod N, which a lookup tries
 after the caller's vector as given.  It holds at most 2 MiB, drops its
 oldest entries first and never holds a larger array.  One formula, `_apply`,
 multiplies by alpha, then by the phases, then gathers, for `rep`'s one
-function and rep-check's stacks alike, so both give the same bytes; rep-check
-hands it arrays to write into, `rep` takes fresh ones.  `rep`
+function and rep-check's stacks alike, so both give the same bytes.  `rep`
 fixes its operator's scalar, phases and source index once, when it is built.
 
 A central-difference directional derivative and a coordinate multiplication
@@ -236,18 +235,12 @@ def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
     return move, _exponent(q, N, axes), s % N
 
 
-def _apply(move: np.ndarray, phases, alpha, values: np.ndarray, out=None) -> np.ndarray:
+def _apply(move: np.ndarray, phases, alpha, values: np.ndarray) -> np.ndarray:
     """T_p o U_q o C_alpha on `rep`'s one function or rep-check's stack: alpha
     times the values, then U_q's phases, multiplied in this order at any size
-    (`*` swaps the factors into a temporary of 256 KiB or more), then the gather.
-    Given `out`, two arrays of the values' shape, the products go into the
-    first (which may be the values) and the gather into the second."""
-    if out is None:  # fresh arrays: `rep`'s call, the fastest for one function
-        scaled = alpha * values
-        return np.multiply(phases, scaled, out=scaled).take(move)
-    np.multiply(alpha, values, out=out[0])
-    # "clip" reads the same in-range indices; "raise" would copy `out` first
-    return np.multiply(phases, out[0], out=out[0]).take(move, out=out[1], mode="clip")
+    (`*` swaps the factors into a temporary of 256 KiB or more), then the gather."""
+    scaled = alpha * values
+    return np.multiply(phases, scaled, out=scaled).take(move)
 
 
 def _is_identity(data: Tuple, spec: GridSpec) -> np.ndarray:

@@ -70,9 +70,9 @@ def kernel_inputs(monkeypatch):
             stacks.append(_triples(p, q, s))
         return monomial(p, q, s, spec)
 
-    def spy_apply(move, phases, alpha, values, out=None):
+    def spy_apply(move, phases, alpha, values):
         samples.append(values)
-        return apply(move, phases, alpha, values, out)
+        return apply(move, phases, alpha, values)
 
     monkeypatch.setattr(grid, "_monomial", spy_monomial)
     monkeypatch.setattr(grid, "_apply", spy_apply)
@@ -190,8 +190,8 @@ def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
     spec, g = grid.GridSpec(1, 8), grid.QuantizedTriple((3,), (5,), 1)
     f = grid.GridFunction(spec, np.arange(8))
     before = grid.rep(g, spec)(f).values
-    monkeypatch.setattr(grid, "_apply", lambda move, phases, alpha, values, out=None:
-                        phases * (alpha * values).take(move))
+    monkeypatch.setattr(grid, "_apply",
+                        lambda move, phases, alpha, values: phases * (alpha * values).take(move))
     assert not np.allclose(grid.rep(g, spec)(f).values, before)
     assert cli.main(["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]) == 4
     assert capsys.readouterr().out.endswith("result: FAIL\n")
@@ -254,23 +254,6 @@ def test_the_kernel_check_runs_once_per_size(monkeypatch):
     assert specs == [(1, 8)] * 2 + [(2, 8)] * 2
 
 
-def test_a_block_after_the_first_reuses_its_arrays(monkeypatch):
-    """The products of every block go into the arrays that the first block
-    made: later blocks hand `grid._apply` the same output arrays."""
-    outputs = []
-    apply = grid._apply
-
-    def spy(move, phases, alpha, values, out=None):
-        outputs.append(tuple(o.__array_interface__["data"][0] for o in out))
-        return apply(move, phases, alpha, values, out)
-
-    monkeypatch.setattr(grid, "_apply", spy)
-    monkeypatch.setattr(checks, "BLOCK_VALUES", 2 * 4**2)  # blocks of 2, 2, 2 and 1 trials
-    assert checks.rep_check(2, 4, 7, 3)[1]
-    assert len(outputs) == 4 * 7  # seven applications a block
-    assert set(outputs[7:]) <= set(outputs[:7])
-
-
 @pytest.mark.parametrize("n, N", [(1, 2**14), (2, 128)])
 def test_a_large_trial_is_the_scalar_operators(n, N):
     """At 2^14 points a sample function fills 256 KiB, where numpy's `*` reuses a
@@ -292,8 +275,7 @@ def test_a_large_trial_is_the_scalar_operators(n, N):
                rep(grid.QuantizedTriple(p, q, 0))(F).max_abs_diff(grid.apply_C(alpha.conjugate(), ut)))
     hom = rep(g)(rep(g2)(F)).max_abs_diff(rep(grid.triple_mul(g, g2))(F))
     inverse = rep(grid.triple_inverse(g))(rep(g)(F)).max_abs_diff(F)
-    work = np.empty((3,) + f.shape, complex)
-    assert checks._rep_deviations(spec, stack, stack2, f, work) == (weyl, hom, inverse)
+    assert checks._rep_deviations(spec, stack, stack2, f) == (weyl, hom, inverse)
 
 
 @pytest.mark.parametrize("n, N", [(1, 2**16), (2, 256)])

@@ -52,10 +52,12 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -123,7 +125,12 @@ def run_child(cmd: list, cwd: Path, env: dict, timeout: float = 600) -> tuple:
     with tempfile.TemporaryFile() as stderr:
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
-        timer = threading.Timer(timeout, proc.kill)
+
+        def kill():  # os.kill, not proc.kill, whose poll() could reap the child before wait4
+            with contextlib.suppress(ProcessLookupError):  # reaped just as the timer fired
+                os.kill(proc.pid, signal.SIGKILL)
+
+        timer = threading.Timer(timeout, kill)
         timer.start()
         try:
             _, status, usage = os.wait4(proc.pid, 0)  # this process's own figures
