@@ -11,10 +11,10 @@ One verb per library operation, stable text grammars, and fixed exit codes:
 
 Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
 and its dispatch are all built from that entry.  Plain argv (see `_read`) is
-read straight from `VERBS`; a verb's parser is built only for help, usage
-errors and the shapes it alone reads, once per process, and parsing leaves
-it unchanged; argparse is imported only then.  A lone trailing `--` is
-dropped before either reads argv.
+read with a table built from `VERBS` once per verb; a verb's parser is built
+only for help, usage errors and the shapes it alone reads, once per process,
+and parsing leaves it unchanged; argparse is imported only then.  A lone
+trailing `--` is dropped before either reads argv.
 The environment (HEIS_SEED, COLUMNS) is read at call time.
 Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
@@ -194,6 +194,16 @@ def _verb_parser(verb: str):
     return p
 
 
+@functools.cache  # at most one table per verb in VERBS
+def _table(verb: str) -> Tuple[frozenset, Tuple[str, ...], tuple]:
+    """VERBS[verb]'s options, positionals and (name, dest, type, required, default)s."""
+    args = VERBS[verb].args
+    return (frozenset(name for name, _ in args if name.startswith("--")),
+            tuple(name for name, _ in args if not name.startswith("-")),
+            tuple((name, kw.get("dest", name.lstrip("-")), kw.get("type", str),
+                   kw.get("required"), kw.get("default")) for name, kw in args))
+
+
 def _read(verb: str, argv: List[str]) -> Optional[SimpleNamespace]:
     """What `_verb_parser(verb).parse_args(argv)` returns, read straight from
     VERBS, or None unless argv has the plain shape: each declared option at
@@ -205,25 +215,22 @@ def _read(verb: str, argv: List[str]) -> Optional[SimpleNamespace]:
         # `main` drops a lone trailing `--`, but this reader still equals argparse on
         # every argv: Python 3.11 refuses some trailing `--` (`relcheck --n 1 --`)
         return None  # and reads a value `--` as []
-    declared, given, plain, tokens = dict(VERBS[verb].args), {}, [], iter(argv[:end])
+    (options, names, fields), given, plain, tokens = _table(verb), {}, [], iter(argv[:end])
     for token in tokens:
         name, eq, value = token.partition("=")
-        if name.startswith("--") and name in declared and name not in given:
+        if name in options and name not in given:
             token = given[name] = value if eq else next(tokens, "--")
         else:
             plain.append(token)
         if token.startswith("-") and not NEGATIVE_NUMBER.match(token):
             return None  # help, an unknown, prefixed or repeated option, or a missing value
-    names = [name for name in declared if not name.startswith("-")]
     plain += argv[end + 1:]
     if len(plain) != len(names):
         return None
     given.update(zip(names, plain))
     try:
-        return SimpleNamespace(**{
-            kw.get("dest", name.lstrip("-")): kw.get("type", str)(given[name])
-            if name in given or kw.get("required") else kw.get("default")
-            for name, kw in declared.items()})
+        return SimpleNamespace(**{dest: convert(given[name]) if name in given or required else
+                                  default for name, dest, convert, required, default in fields})
     except (KeyError, ValueError):  # a required option missing, or a value its type refuses
         return None
 

@@ -13,17 +13,18 @@ has one validator here, and no other code repeats its test:
 - `finite_scalar(v, convert, name)`: one finite number, such as a central
   coordinate, a dilation parameter or an operator's scalar.
 
-What the library computed skips those checks: each value type has one
-unchecked builder beside it (`core._real`, `lattice._element`, ...,
-`GridFunction._wrap`) that writes every field by name into the instance (a
-frozen `heis._Value` forbids attribute assignment only), so a value has two
-ways in; `CosetReduction` and `RelationReport` have only a constructor,
-which checks nothing.  The groups are closed under
+What the library computed, or a parser checked, skips those checks: each
+value type has one unchecked builder beside it (`core._real`,
+`lattice._element`, ..., `GridFunction._wrap`) that writes every field by
+name into the instance (a frozen `heis._Value` forbids attribute assignment
+only), so a value has two ways in; `CosetReduction` and `RelationReport`
+have only a constructor, which checks nothing.  The groups are closed under
 their operations, so a float overflow is the one way such an output can be
 invalid: `finite_triple` ((x, y, t) outputs) and `finite_pair` ((vector,
 scalar) outputs) keep that one test, then call the builder they are given.
-They and `finite_vector` first test one sum, finite only if every term is
-(inf - inf is nan), and test each component only if it is not.
+They, `finite_vector` and the `textio` parsers (which check text once and
+build by name, as `lattice.parse_word` does) first test one sum, finite only
+if every term is (inf - inf is nan), and test each part only if it is not.
 """
 
 import cmath

@@ -8,8 +8,10 @@ Siegel point:     `w1,...,wn ; sigma`
 A real is what Python's float() reads (`2`, `-0.5`, `1e-3`, `inf`, `nan`).  A
 complex is `a`, `bi`, `a+bi` or `a-bi` for reals a and b, where b may be left
 out (`i`, `1-i`); the unit `i` only trails, and `j` is rejected.  Blanks around
-a block or a component, and inside a complex, are ignored.  A non-finite value
-parses, and the element's constructor rejects it as a domain error.
+a block or a component, and inside a complex, are ignored.  Each parser is the
+one check of its text, as `lattice.parse_word` is, and builds its value by
+name.  It reports the first fault of: the block count, the x then y components,
+the length of x then y, the t or sigma text, then finiteness, as `errors` does.
 
 Reals are printed with 17 significant digits, which round-trips float64
 exactly; integers are printed as plain decimals.
@@ -17,12 +19,13 @@ exactly; integers are printed as plain decimals.
 
 from __future__ import annotations
 
-from typing import Tuple
+import cmath
 
-from .core import RealElement
-from .errors import DimensionError, LiteralSyntaxError, ParameterError, digit_limit, dimension
+from .core import RealElement, _real
+from .errors import (DimensionError, LiteralSyntaxError, ParameterError, digit_limit, dimension,
+                     finite_scalar, finite_vector)
 from .lattice import LatticeElement
-from .siegel import ComplexElement, SiegelPoint
+from .siegel import ComplexElement, SiegelPoint, _complex, _point
 
 
 def fmt_real(v: float) -> str:
@@ -34,13 +37,13 @@ def fmt_complex(c: complex) -> str:
     return f"{fmt_real(c.real)}{sign}{fmt_real(abs(c.imag))}i"
 
 
-def _split_blocks(text: str, count: int) -> Tuple[str, ...]:
+def _split_blocks(text: str, count: int) -> list[str]:
     blocks = [b.strip() for b in text.split(";")]
     if len(blocks) != count:
         raise LiteralSyntaxError(
             f"expected {count} semicolon-separated blocks, got {len(blocks)}"
         )
-    return tuple(blocks)
+    return blocks
 
 
 def _parse_float(tok: str) -> float:
@@ -61,18 +64,24 @@ def _parse_complex(tok: str) -> complex:
     raise LiteralSyntaxError(f"invalid complex literal {tok!r}")
 
 
-def _check_len(parts, n: int) -> None:
-    if len(parts) != dimension(n):
-        raise DimensionError(f"expected {n} components, got {len(parts)}")
+def _scalar(n: int, vectors: tuple, text: str, read, name: str):
+    """The scalar `name` read from text by `read`, once each vector has length n."""
+    size = dimension(n)
+    for v in vectors:
+        if len(v) != size:
+            raise DimensionError(f"expected {n} components, got {len(v)}")
+    s = read(text)
+    if not cmath.isfinite(sum(map(sum, vectors), s)):  # one sum, as `errors` tests
+        finite_vector(sum(vectors, ()), complex)  # complex holds a float or a complex part
+        finite_scalar(s, type(s), name)
+    return s
 
 
 def parse_real_element(text: str, n: int) -> RealElement:
     xs, ys, ts = _split_blocks(text, 3)
-    x = tuple(_parse_float(c) for c in xs.split(","))
-    y = tuple(_parse_float(c) for c in ys.split(","))
-    _check_len(x, n)
-    _check_len(y, n)
-    return RealElement(x, y, _parse_float(ts))
+    x = tuple([_parse_float(c) for c in xs.split(",")])
+    y = tuple([_parse_float(c) for c in ys.split(",")])
+    return _real(x, y, _scalar(n, (x, y), ts, _parse_float, "t"))
 
 
 def format_real_element(g: RealElement) -> str:
@@ -88,9 +97,8 @@ def format_lattice_element(g: LatticeElement) -> str:
 
 def parse_complex_element(text: str, n: int) -> ComplexElement:
     zs, ts = _split_blocks(text, 2)
-    z = tuple(_parse_complex(c) for c in zs.split(","))
-    _check_len(z, n)
-    return ComplexElement(z, _parse_float(ts))
+    z = tuple([_parse_complex(c) for c in zs.split(",")])
+    return _complex(z, _scalar(n, (z,), ts, _parse_float, "t"))
 
 
 def format_complex_element(g: ComplexElement) -> str:
@@ -99,9 +107,8 @@ def format_complex_element(g: ComplexElement) -> str:
 
 def parse_siegel_point(text: str, n: int) -> SiegelPoint:
     ws, ss = _split_blocks(text, 2)
-    w = tuple(_parse_complex(c) for c in ws.split(","))
-    _check_len(w, n)
-    return SiegelPoint(w, _parse_complex(ss))
+    w = tuple([_parse_complex(c) for c in ws.split(",")])
+    return _point(w, _scalar(n, (w,), ss, _parse_complex, "sigma"))
 
 
 def format_siegel_point(p: SiegelPoint) -> str:

@@ -25,9 +25,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heis import checks, core, errors, grid, lattice, siegel, textio
-from heis.errors import DimensionError, ParameterError, WordSyntaxError
+from heis.errors import DimensionError, LiteralSyntaxError, ParameterError, WordSyntaxError
 
 VALIDATING = (core.RealElement, lattice.LatticeElement, siegel.ComplexElement, siegel.SiegelPoint,
               lattice.Word)
@@ -645,3 +647,181 @@ def test_public_errors_keep_their_type_and_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+# --- the literal parsers ------------------------------------------------------
+# Each parser is the one check of literal text.  The reference reads it as the
+# grammar says, one component at a time with textio's component readers, and
+# leaves dimensions and finiteness to the validating constructor.
+
+def _blocks(text, count):
+    blocks = [b.strip() for b in text.split(";")]
+    if len(blocks) != count:
+        raise LiteralSyntaxError(f"expected {count} semicolon-separated blocks, got {len(blocks)}")
+    return blocks
+
+
+def _sized(parts, n):
+    if len(parts) != errors.dimension(n):
+        raise DimensionError(f"expected {n} components, got {len(parts)}")
+    return parts
+
+
+def _reference_real(text, n):
+    xs, ys, ts = _blocks(text, 3)
+    x = tuple(textio._parse_float(c) for c in xs.split(","))
+    y = tuple(textio._parse_float(c) for c in ys.split(","))
+    return core.RealElement(_sized(x, n), _sized(y, n), textio._parse_float(ts))
+
+
+def _reference_complex(text, n):
+    zs, ts = _blocks(text, 2)
+    z = _sized(tuple(textio._parse_complex(c) for c in zs.split(",")), n)
+    return siegel.ComplexElement(z, textio._parse_float(ts))
+
+
+def _reference_point(text, n):
+    ws, ss = _blocks(text, 2)
+    w = _sized(tuple(textio._parse_complex(c) for c in ws.split(",")), n)
+    return siegel.SiegelPoint(w, textio._parse_complex(ss))
+
+
+PARSERS = {"real": (textio.parse_real_element, _reference_real),
+           "complex": (textio.parse_complex_element, _reference_complex),
+           "point": (textio.parse_siegel_point, _reference_point)}
+
+
+def _bits(value):
+    """A number's type and bits (-0.0 is not 0.0), or a value's type and its fields' bits."""
+    if type(value) is float:
+        return float, value.hex()
+    if type(value) is complex:
+        return complex, value.real.hex(), value.imag.hex()
+    if type(value) is tuple:
+        return tuple(map(_bits, value))
+    return type(value), tuple(_bits(getattr(value, f)) for f in type(value).__match_args__)
+
+
+def _outcome(parse, text, n):
+    try:
+        return _bits(parse(text, n))
+    except errors.HeisError as exc:
+        return type(exc), str(exc)
+
+
+def _mostly(good, bad):
+    """`good` seven times in eight, else `bad`."""
+    return st.integers(0, 7).flatmap(lambda k: good if k else bad)
+
+
+REAL_TEXT = _mostly(
+    st.one_of(st.sampled_from(["1", "-2.5", " 3 ", "-0.0", "0", "1e308", "-1e308", "5e-324"]),
+              st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+    st.one_of(st.sampled_from(["1e999", "-1e999", "inf", "-inf", "nan", "", " ", "x", "1..5",
+                               "1_0", "i", "1j", "2i", "0x1"]),
+              st.text("0123456789.e+-ijnaf ", max_size=5)),
+)
+COMPLEX_TEXT = st.one_of(
+    REAL_TEXT,
+    _mostly(
+        st.one_of(st.sampled_from(["i", "-i", "+i", "1+i", "1-i", "2i", "1 - 2 i", "-0.0-0.0i"]),
+                  st.builds(lambda a, b: f"{a}{'' if b.startswith('-') else '+'}{b}i",
+                            st.floats().map(repr), st.floats().map(repr))),
+        st.sampled_from(["1e999i", "nan+1i", "1+infi", "1j", "1+2j", "J", "1+2I", "i1", "1+i+i",
+                         "ii", "1+ i", "1 + 2 i", "-0.0-nani"])),
+)
+DIMENSIONS = _mostly(st.integers(1, 3), st.sampled_from([0, -1, True, 1.5, "2", np.int64(2)]))
+
+
+@st.composite
+def literals(draw, vectors, component, scalar):
+    """(text, n): `vectors` blocks of components then a scalar block, most
+    often with n components each, now and then with a block more or fewer."""
+    n = draw(DIMENSIONS)
+    size = n if type(n) is int and n > 0 else 2
+
+    def vector():
+        count = size if draw(st.integers(0, 5)) else draw(st.integers(1, 4))
+        return ",".join(draw(st.lists(component, min_size=count, max_size=count)))
+
+    blocks = [vector() for _ in range(vectors)] + [draw(scalar)]
+    if not draw(st.integers(0, 7)):
+        blocks.pop(draw(st.integers(0, vectors)))
+    elif not draw(st.integers(0, 7)):
+        blocks.insert(draw(st.integers(0, vectors + 1)), vector())
+    return ";".join(blocks), n
+
+
+LITERALS = {"real": literals(2, REAL_TEXT, REAL_TEXT),
+            "complex": literals(1, COMPLEX_TEXT, REAL_TEXT),
+            "point": literals(1, COMPLEX_TEXT, COMPLEX_TEXT)}
+
+
+@settings(max_examples=600, deadline=None)
+@given(kind=st.sampled_from(sorted(PARSERS)), data=st.data())
+def test_the_literal_parsers_read_as_the_reference_does(kind, data):
+    """Each parser gives the value, bit for bit, or the error type and
+    message that the reference gives on the same text and n."""
+    parse, reference = PARSERS[kind]
+    text, n = data.draw(LITERALS[kind], "literal")
+    assert _outcome(parse, text, n) == _outcome(reference, text, n), (text, n)
+
+
+# the order in which a literal's faults are reported: the block count, the x
+# components then the y components, the length of x then y, the t or sigma
+# text, the finiteness of x, then y, then t
+PRECEDENCE = [
+    (textio.parse_real_element, "1,2;3", 1, LiteralSyntaxError,
+     "expected 3 semicolon-separated blocks, got 2"),
+    (textio.parse_real_element, "x,1,2;y;z", 1, LiteralSyntaxError, "invalid real literal 'x'"),
+    (textio.parse_real_element, "1,2,inf;y;z", 1, LiteralSyntaxError, "invalid real literal 'y'"),
+    (textio.parse_real_element, "1;2;3", 0, DimensionError, "n must be >= 1"),
+    (textio.parse_real_element, "1;x;3", 1.5, LiteralSyntaxError, "invalid real literal 'x'"),
+    (textio.parse_real_element, "1,2;3;x", 1, DimensionError, "expected 1 components, got 2"),
+    (textio.parse_real_element, "1;3,4,5;x", 2, DimensionError, "expected 2 components, got 1"),
+    (textio.parse_real_element, "1;3,4;x", 1, DimensionError, "expected 1 components, got 2"),
+    (textio.parse_real_element, "inf;nan;x", 1, LiteralSyntaxError, "invalid real literal 'x'"),
+    (textio.parse_real_element, "inf;nan;nan", 1, ParameterError,
+     "vector components must be finite"),
+    (textio.parse_real_element, "-inf;2;3", 1, ParameterError, "vector components must be finite"),
+    (textio.parse_real_element, "1;-inf;nan", 1, ParameterError,
+     "vector components must be finite"),
+    (textio.parse_real_element, "1;2;1e999", 1, ParameterError, "t must be finite, got inf"),
+    (textio.parse_complex_element, "1j;x", 1, LiteralSyntaxError, "invalid complex literal '1j'"),
+    (textio.parse_complex_element, "1,2i;x", 1, DimensionError, "expected 1 components, got 2"),
+    (textio.parse_complex_element, "infi;x", 1, LiteralSyntaxError, "invalid real literal 'x'"),
+    (textio.parse_complex_element, "1+infi;nan", 1, ParameterError,
+     "vector components must be finite"),
+    (textio.parse_complex_element, "1;nan", 1, ParameterError, "t must be finite, got nan"),
+    (textio.parse_complex_element, "1;2i", 1, LiteralSyntaxError, "invalid real literal '2i'"),
+    (textio.parse_siegel_point, "1;2;3", 1, LiteralSyntaxError,
+     "expected 2 semicolon-separated blocks, got 3"),
+    (textio.parse_siegel_point, "1,x;y", 3, LiteralSyntaxError, "invalid complex literal 'x'"),
+    (textio.parse_siegel_point, "1,2;y", 3, DimensionError, "expected 3 components, got 2"),
+    (textio.parse_siegel_point, "nan;y", 1, LiteralSyntaxError, "invalid complex literal 'y'"),
+    (textio.parse_siegel_point, "nan;infi", 1, ParameterError, "vector components must be finite"),
+    (textio.parse_siegel_point, "1;infi", 1, ParameterError, "sigma must be finite, got infj"),
+    (textio.parse_siegel_point, "1;nan+1i", 1, ParameterError,
+     "sigma must be finite, got (nan+1j)"),
+]
+
+
+@pytest.mark.parametrize("parse, text, n, error, message", PRECEDENCE,
+                         ids=[f"{p.__name__}-{text}" for p, text, *_ in PRECEDENCE])
+def test_a_literal_reports_its_first_fault(parse, text, n, error, message):
+    with pytest.raises(error) as info:
+        parse(text, n)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, text, n, want", [
+    (textio.parse_real_element, " -0.0 , 1e308 ; 0 ,-0.0; -0.0 ", 2,
+     core.RealElement((-0.0, 1e308), (0.0, -0.0), -0.0)),
+    (textio.parse_real_element, "1e308,1e308;0,0;0", np.int64(2),
+     core.RealElement((1e308, 1e308), (0.0, 0.0), 0.0)),
+    (textio.parse_complex_element, "-0.0-0.0i, 1 - i ; -0.0", 2,
+     siegel.ComplexElement((complex(-0.0, -0.0), 1 - 1j), -0.0)),
+    (textio.parse_siegel_point, "i;-0.0", True, siegel.SiegelPoint((1j,), complex(-0.0))),
+], ids=["real-signed-zeros", "real-overflowing-sum", "complex", "point"])
+def test_a_literal_reads_to_its_exact_value(parse, text, n, want):
+    assert _bits(parse(text, n)) == _bits(want)
