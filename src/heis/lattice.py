@@ -14,6 +14,13 @@ and that expression is unique, so normalization proceeds by evaluating a word
 to its triple and re-emitting the normal form.
 
 Arithmetic uses Python integers throughout, so no overflow is possible.
+
+A word's terms recur (a few generator powers make up most words), so
+`parse_word` reads each distinct term once: it splits the text on whitespace
+and keeps each term's reading, its token or its first fault, in a cache keyed
+by the term's text alone, of at most 512 terms of at most 32 characters.  The
+check of an index against n and the offset of an error stay per call, so the
+tokens and the errors equal those of a per-character scan of the text.
 """
 
 from __future__ import annotations
@@ -168,49 +175,90 @@ def _word(n: int, tokens: tuple) -> Word:
     return obj
 
 
-_TOKEN_RE = re.compile(r"([abc])([0-9]*)(\^(-?[0-9]+))?")
+_TERM_RE = re.compile(r"([abc])([0-9]*)(?:\^(-?[0-9]+))?")
+
+# term text -> `_read_term(term)`.  A key holds at most _TERM_KEY_MAX
+# characters, fewer digits than int() ever refuses (the limit is 0 or at
+# least 640), so no entry depends on that setting.  Tokens are frozen, so
+# words share them.  Threads that insert at once may each add one entry past
+# the size before the next insert empties the cache.
+_TERMS: dict = {}
+_TERM_CACHE_SIZE = 512  # entries; a full cache is emptied before the next one
+_TERM_KEY_MAX = 32  # characters; a longer term is read afresh at each use
 
 
 def parse_word(text: str, n: int) -> Word:
     """Parse the surface syntax: space-separated terms `a<j>`, `b<j>`, `c`,
-    each optionally followed by `^<int>`.  Exponent-0 terms are dropped."""
+    each optionally followed by `^<int>`.  Exponent-0 terms are dropped.
+
+    Each term is read once through a cache keyed by its text alone: terms of
+    at most 32 characters, at most 512 of them (a full cache is emptied
+    before the next goes in).  The check of the index against n and the
+    offset of an error in `text` stay per call, so the tokens, or the error
+    type, message and offset, equal those of a per-character scan of `text`.
+    """
     n = dimension(n)
     tokens: List[GeneratorToken] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise WordSyntaxError(f"expected generator, found {text[pos]!r}", pos)
-        kind, digits, _, exp = match.groups()
-        if kind == "c":
-            if digits:
-                raise WordSyntaxError("the central generator c takes no index", pos + 1)
-            index = 0
-        else:
-            if not digits:
-                raise WordSyntaxError(f"generator {kind!r} requires an index", pos)
-            index = _int(digits, "index", match.start(2))
-            if not 1 <= index <= n:
-                raise WordSyntaxError(f"index {index} out of range [1, {n}]", pos)
-        exponent = 1 if exp is None else _int(exp, "exponent", match.start(4))
-        end = match.end()
-        if end < length and not text[end].isspace():
-            raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
-        if exponent != 0:
-            tokens.append(_token(kind, index, exponent))
-        pos = end
+    terms = text.split()  # splits where str.isspace does
+    cached = _TERMS.get
+    for term in terms:
+        entry = cached(term)
+        if entry is None:
+            entry = _read_term(term)
+            if len(term) <= _TERM_KEY_MAX:
+                if len(_TERMS) >= _TERM_CACHE_SIZE:
+                    _TERMS.clear()
+                _TERMS[term] = entry
+        token, index, fault = entry
+        if not 1 <= index <= n:
+            raise WordSyntaxError(f"index {index} out of range [1, {n}]", _start(text, terms, term))
+        if fault is not None:
+            message, offset = fault
+            raise WordSyntaxError(message, _start(text, terms, term) + offset)
+        if token is not None:
+            tokens.append(token)
     return _word(n, tuple(tokens))
 
 
-def _int(digits: str, name: str, offset: int) -> int:
+def _read_term(term: str) -> tuple:
+    """One whitespace-free term as (token, index, fault), none of which depends on n.
+
+    token is the GeneratorToken, or None for an exponent of 0 or a fault;
+    index is what the caller checks against n: the a/b index, or 1 (in range
+    for every n) for c and for a fault found before the index is read; fault
+    is the term's first other fault as (message, offset in the term), or None.
+    The caller reports a range error before that fault, as a scan would.
+    """
+    match = _TERM_RE.match(term)
+    if match is None:
+        return None, 1, (f"expected generator, found {term[0]!r}", 0)
+    kind, digits, exp = match.groups()
+    if kind == "c":
+        if digits:
+            return None, 1, ("the central generator c takes no index", 1)
+        index, checked = 0, 1
+    elif not digits:
+        return None, 1, (f"generator {kind!r} requires an index", 0)
+    else:
+        try:
+            index = checked = int(digits)
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
+            return None, 1, (digit_limit("index"), 1)
     try:
-        return int(digits)
-    except ValueError:  # int() reads at most sys.get_int_max_str_digits() digits
-        raise WordSyntaxError(digit_limit(name), offset) from None
+        exponent = 1 if exp is None else int(exp)
+    except ValueError:
+        return None, checked, (digit_limit("exponent"), match.start(3))
+    end = match.end()
+    if end < len(term):
+        return None, checked, (f"unexpected character {term[end]!r}", end)
+    return (_token(kind, index, exponent) if exponent else None), checked, None
+
+
+def _start(text: str, terms: List[str], term: str) -> int:
+    """Where `term` starts in `text`.  A term that faults at some n faults at
+    each of its occurrences, so the one that raised is its first."""
+    i = terms.index(term)
+    return len(text) - len(text.split(None, i)[i])  # the rest of text from term i on
 
 
 def evaluate_word(w: Word) -> LatticeElement:

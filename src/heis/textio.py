@@ -69,7 +69,7 @@ def _scalar(n: int, vectors: tuple, text: str, read, name: str):
     size = dimension(n)
     for v in vectors:
         if len(v) != size:
-            raise DimensionError(f"expected {n} components, got {len(v)}")
+            raise DimensionError(f"expected {size} components, got {len(v)}")
     s = read(text)
     if not cmath.isfinite(sum(map(sum, vectors), s)):  # one sum, as `errors` tests
         finite_vector(sum(vectors, ()), complex)  # complex holds a float or a complex part

@@ -662,8 +662,9 @@ def _blocks(text, count):
 
 
 def _sized(parts, n):
-    if len(parts) != errors.dimension(n):
-        raise DimensionError(f"expected {n} components, got {len(parts)}")
+    size = errors.dimension(n)
+    if len(parts) != size:
+        raise DimensionError(f"expected {size} components, got {len(parts)}")
     return parts
 
 

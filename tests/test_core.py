@@ -37,6 +37,7 @@ class TestMul:
         e = core.RealElement.identity(2)
         assert core.mul(g, e) == g
         assert core.mul(e, g) == g
+        assert g.n == e.n == 2
 
     def test_hand_example(self):
         assert core.mul(elem(1, 2, 0), elem(3, 4, 0)) == elem(4, 6, 6)

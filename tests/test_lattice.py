@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heis import checks, cli, core, lattice
-from heis.errors import DimensionError, ParameterError, WordSyntaxError
+from heis.errors import DimensionError, ParameterError, WordSyntaxError, digit_limit
 
 
 def triple(k, l, m):
@@ -76,6 +77,117 @@ class TestParse:
                                                  f"digits, the most Python converts$"):
             str(big)
         assert str(lattice.GeneratorToken("c", 0, 10**limit - 1)) == "c^" + "9" * limit
+
+
+# --- the term cache ------------------------------------------------------------
+# The reference reads a word one character at a time, as the parser did before
+# it read each distinct term once.
+
+_SCAN_RE = re.compile(r"([abc])([0-9]*)(\^(-?[0-9]+))?")
+
+
+def _scan_int(digits, name, offset):
+    try:
+        return int(digits)
+    except ValueError:
+        raise WordSyntaxError(digit_limit(name), offset) from None
+
+
+def _scan(text, n):
+    """(kind, index, exponent) of each term with a nonzero exponent."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        match = _SCAN_RE.match(text, pos)
+        if match is None:
+            raise WordSyntaxError(f"expected generator, found {text[pos]!r}", pos)
+        kind, digits, _, exp = match.groups()
+        if kind == "c":
+            if digits:
+                raise WordSyntaxError("the central generator c takes no index", pos + 1)
+            index = 0
+        else:
+            if not digits:
+                raise WordSyntaxError(f"generator {kind!r} requires an index", pos)
+            index = _scan_int(digits, "index", match.start(2))
+            if not 1 <= index <= n:
+                raise WordSyntaxError(f"index {index} out of range [1, {n}]", pos)
+        exponent = 1 if exp is None else _scan_int(exp, "exponent", match.start(4))
+        end = match.end()
+        if end < len(text) and not text[end].isspace():
+            raise WordSyntaxError(f"unexpected character {text[end]!r}", end)
+        if exponent != 0:
+            tokens.append((kind, index, exponent))
+        pos = end
+    return tokens
+
+
+def _tokens(text, n):
+    return [(t.kind, t.index, t.exponent) for t in lattice.parse_word(text, n).tokens]
+
+
+def _outcome(read, text, n):
+    try:
+        return read(text, n)
+    except WordSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+# Terms are built from a kind, an index, an exponent and a tail, each of
+# which may be malformed; "\x1c" and "\x85" are whitespace to str.isspace,
+# "\u200b" is not.  LONG has more digits than int() reads.
+LONG = "0" * sys.get_int_max_str_digits() + "1"
+TERMS = st.builds("{}{}{}{}".format,
+                  st.sampled_from(["a", "b", "c", "a", "b", "c", "x", "1", "-", "\u200b"]),
+                  st.sampled_from(["", "0", "1", "2", "3", "12", "1", "2", LONG]),
+                  st.sampled_from(["", "", "^0", "^-3", "^12", "^", "^-", "^x", "^" + LONG]),
+                  st.sampled_from(["", "", "", "", "x", "c", "^", "\u200b", "1"]))
+SPACES = st.sampled_from([" ", " ", "\t", "\x1c", "\x85", "  "])
+
+
+class TestTermCache:
+    @settings(max_examples=1500, deadline=None)
+    @given(pieces=st.lists(st.one_of(TERMS, SPACES), max_size=12),
+           n=st.integers(1, 3))
+    def test_the_parser_reads_as_a_per_character_scan(self, pieces, n):
+        text = "".join(pieces)
+        assert _outcome(_tokens, text, n) == _outcome(_scan, text, n), (text, n)
+
+    @pytest.mark.parametrize("text, n, message, offset", [
+        ("b2^-3c", 1, "index 2 out of range [1, 1]", 0),
+        ("b2^-3c", 2, "unexpected character 'c'", 5),
+        ("a1 b0", 2, "index 0 out of range [1, 2]", 3),
+        ("c a1^0 a3^0", 2, "index 3 out of range [1, 2]", 7),
+        ("a1 a2x a2x", 1, "index 2 out of range [1, 1]", 3),
+        ("a1 a2x a2x", 2, "unexpected character 'x'", 5),
+        ("\x85c\x1cc2", 1, "the central generator c takes no index", 4),
+        ("a12 b2 12", 12, "expected generator, found '1'", 7),  # "12" is in "a12" too
+    ])
+    def test_a_fault_is_reported_where_a_scan_finds_it(self, text, n, message, offset):
+        with pytest.raises(WordSyntaxError) as exc:
+            lattice.parse_word(text, n)
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.offset == offset
+
+    def test_a_term_read_at_a_larger_n_is_checked_again_at_each_n(self):
+        for text in ("a3", "b3^0", "a3^-7"):
+            lattice.parse_word(text, 3)
+            with pytest.raises(WordSyntaxError, match=r"^index 3 out of range \[1, 1\]"):
+                lattice.parse_word(text, 1)
+
+    def test_the_cache_is_bounded_in_entries_and_key_length(self):
+        size, key_max = lattice._TERM_CACHE_SIZE, lattice._TERM_KEY_MAX
+        for e in range(1, 3 * size):
+            lattice.parse_word(f"a1^{e} c^-{e}", 1)
+            assert len(lattice._TERMS) <= size
+        long_term = "c^" + "1" * key_max
+        assert len(lattice.parse_word(f"a1 {long_term} {long_term}", 1).tokens) == 3
+        assert long_term not in lattice._TERMS
+        assert max(map(len, lattice._TERMS)) <= key_max
+        assert all(not any(ch.isspace() for ch in key) for key in lattice._TERMS)
 
 
 class TestEvaluate:
