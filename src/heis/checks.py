@@ -37,13 +37,14 @@ siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
 the formulas of the scalar API, on one array per coordinate.
 
+Both suites carry a NaN deviation into the report, and it fails the check.
+
 numpy is imported on first use, as in `grid`: `relation_check` loads none.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from typing import List, Tuple
 
 from . import _Numpy, core, grid, lattice, siegel
@@ -69,6 +70,12 @@ def _verdict(lines: List[str], ok: bool) -> Tuple[str, bool]:
     return "\n".join(lines) + "\n", ok
 
 
+def _worst(*devs: float) -> float:
+    """The largest deviation, or NaN if one is NaN: `max` keeps whichever comes
+    first of a number and a NaN, so a NaN deviation would pass unseen."""
+    return float("nan") if any(d != d for d in devs) else max(devs)
+
+
 def _check_run(n: int, trials: int, seed: int) -> Tuple[int, int, int]:
     """(n, trials, seed) as ints, once each is known to be valid."""
     n, trials = dimension(n), integer(trials, "trials")
@@ -83,8 +90,9 @@ def _check_run(n: int, trials: int, seed: int) -> Tuple[int, int, int]:
 
 def relation_check(n: int) -> Tuple[str, bool]:
     """Exhaustive defining-relation check for H_n(Z)."""
+    n = dimension(n)
     report = lattice.check_relations(n)
-    lines = [f"relcheck: n={dimension(n)}", f"relations checked: {report.checked}"]
+    lines = [f"relcheck: n={n}", f"relations checked: {report.checked}"]
     for bad in report.counterexamples:
         lines.append(f"counterexample: {bad}")
     lines.append(f"counterexamples: {len(report.counterexamples)}")
@@ -111,11 +119,6 @@ def _rep_blocks(rng: np.random.Generator, spec: grid.GridSpec, trials: int):
         yield (p, q, cols[:, 2 * n]), (p2, q2, cols[:, 4 * n + 1]), f
 
 
-def _max_dev(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over every trial and point, as `GridFunction.max_abs_diff`."""
-    return float(np.maximum.reduce(np.abs(a - b), axis=None))
-
-
 def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray) -> Tuple[float, ...]:
     """The largest Weyl-relation, homomorphism and inverse deviations over a
     block of trials, each operator one `grid._monomial` stack applied by
@@ -131,19 +134,19 @@ def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray) -> 
 
     # U T = T U C_alpha, and the reverse orientation with conj(alpha)
     rep_g = move, phases, _ = rep(*g)
-    alpha = roots[sum(map(operator.mul, q, p)) % N]
+    alpha = roots[core._dot(q, p) % N]
     ut = f.take(move)
     np.multiply(phases, ut, out=ut)  # apply_U's factor order at any size, as in `grid._apply`
-    weyl = max(_max_dev(ut, grid._apply(move, phases, alpha, f)),
-               _max_dev(grid._apply(move, phases, 1, f), alpha.conj() * ut))
+    weyl = _worst(grid._max_abs_diff(ut, grid._apply(move, phases, alpha, f)),
+                  grid._max_abs_diff(grid._apply(move, phases, 1, f), alpha.conj() * ut))
     del ut  # each stage's arrays go before the next: 16 MiB apiece at 2^20 points
 
     direct = grid._apply(*rep(*core.law(*g, *g2)), f)
     composed = grid._apply(*rep_g, grid._apply(*rep(*g2), f))
-    hom = _max_dev(composed, direct)
+    hom = grid._max_abs_diff(composed, direct)
     del direct, composed
     undone = grid._apply(*rep(*core.law_inverse(*g)), grid._apply(*rep_g, f))
-    return weyl, hom, _max_dev(undone, f)
+    return weyl, hom, grid._max_abs_diff(undone, f)
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,21 +176,19 @@ def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
 
     # before any block's arrays, so that its own do not add to theirs
     violations = _kernel_violations(spec, grid._monomial, grid._is_identity)
-    max_weyl = max_hom = max_inv = 0.0
+    worst = (0.0, 0.0, 0.0)  # the Weyl relation's, the homomorphism's and the inverse's
     for block, (g, g2, f) in enumerate(_rep_blocks(rng, spec, trials)):
         if block == 0:  # the first trial's integers, as Python ints
             p, q, p2, q2 = (tuple(c.item(0) for c in v) for v in (g[0], g[1], g2[0], g2[1]))
             lines.append(f"first sample: p={p} q={q} s={g[2].item(0)} p'={p2} q'={q2} "
                          f"s'={g2[2].item(0)}")
-        weyl, hom, inv = _rep_deviations(spec, g, g2, f)
-        max_weyl, max_hom, max_inv = max(max_weyl, weyl), max(max_hom, hom), max(max_inv, inv)
+        worst = tuple(map(_worst, worst, _rep_deviations(spec, g, g2, f)))
 
     lines.extend(violations)
-    lines.append(f"max weyl-relation deviation: {_fmt(max_weyl)}")
-    lines.append(f"max homomorphism deviation: {_fmt(max_hom)}")
-    lines.append(f"max inverse deviation: {_fmt(max_inv)}")
+    for label, dev in zip(("weyl-relation", "homomorphism", "inverse"), worst):
+        lines.append(f"max {label} deviation: {_fmt(dev)}")
     lines.append(f"kernel check: {'FAILED' if violations else 'ok'}")
-    ok = not violations and max(max_weyl, max_hom, max_inv) <= REP_TOL
+    ok = not violations and _worst(*worst) <= REP_TOL
     return _verdict(lines, ok)
 
 
@@ -261,7 +262,7 @@ def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
 
         moved = siegel._act(z, t, w, sigma)
         dev = abs(siegel._height(*moved) - siegel._height(w, sigma))
-        max_height = max(max_height, np.max(dev))
+        max_height = _worst(max_height, float(np.max(dev)))
         scale = 1.0 + abs(sigma.imag) + siegel._norm2(w) + siegel._norm2(z)
         height_fails += int(np.count_nonzero(~(dev <= HEIGHT_ROUNDING * (n + 1) * scale)))
         dev, scale = siegel._compose_gap(z, t, z2, t2, w, sigma, top=_top)
@@ -271,7 +272,7 @@ def siegel_check(n: int, trials: int, seed: int) -> Tuple[str, bool]:
         rw, rs = siegel._act(*siegel._dilate(factors, z, t), *siegel._dilate(factors, w, sigma))
         scale = _top(1.0, *map(abs, lw), abs(ls))
         devn = _top(*(abs(a - b) for a, b in zip(lw + (ls,), rw + (rs,)))) / scale
-        max_equiv = max(max_equiv, np.max(devn))
+        max_equiv = _worst(max_equiv, float(np.max(devn)))
 
     lines.append(f"max height-invariance deviation: {_fmt(max_height)}")
     lines.append(f"composition-identity failures: {compose_fails}")

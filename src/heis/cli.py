@@ -11,10 +11,11 @@ One verb per library operation, stable text grammars, and fixed exit codes:
 
 Each verb is declared once, in `VERBS`: its parser, its synopsis in `USAGE`
 and its dispatch are all built from that entry.  Plain argv (see `_read`) is
-read with a table built from `VERBS` once per verb; a verb's parser is built
-only for help, usage errors and the shapes it alone reads, once per process,
-and parsing leaves it unchanged; argparse is imported only then.  A lone
-trailing `--` is dropped before either reads argv.
+read with a table built from `VERBS` once per verb.  Only help, usage errors
+and the shapes argparse alone reads build a verb's parser: `_verb_parser`
+imports argparse, defines the parser's class and builds it once per verb in
+a process, and parsing leaves it unchanged.  A lone trailing `--` is dropped
+before either reads argv.
 The environment (HEIS_SEED, COLUMNS) is read at call time.
 Seeded verbs default their seed from the HEIS_SEED environment variable.
 """
@@ -153,13 +154,11 @@ NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 INTEGER = r"\s*[+-]?\d+\s*"  # int() refuses such text only past its digit limit
 
 
-def __getattr__(name: str):
-    """`_Parser`, defined with argparse's import on first use: plain argv needs neither."""
-    if name != "_Parser":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import argparse
+@functools.cache  # at most one parser per verb in VERBS
+def _verb_parser(verb: str):
+    import argparse  # only for help, usage errors and the argv shapes `_read` leaves to it
 
-    class _Parser(argparse.ArgumentParser):
+    class Parser(argparse.ArgumentParser):
         # argparse exits 2 on a usage error; here 2 means a literal did not parse
         def error(self, message):  # name int()'s digit limit, not the digits type=int echoes
             message = re.sub(f"(argument \\S+): invalid int value: '{INTEGER}'",
@@ -176,18 +175,9 @@ def __getattr__(name: str):
                 return "--"
             return super()._get_values(action, arg_strings)
 
-    globals()["_Parser"] = _Parser
-    return _Parser
-
-
-@functools.cache  # at most one parser per verb in VERBS
-def _verb_parser(verb: str):
-    from argparse import RawDescriptionHelpFormatter
-
     # no abbreviations: the options are exactly the ones VERBS declares
-    parser = globals().get("_Parser") or __getattr__("_Parser")
-    p = parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,
-               formatter_class=RawDescriptionHelpFormatter, allow_abbrev=False)
+    p = Parser(prog=f"heis {verb}", description=VERBS[verb].summary, epilog=LITERALS,
+               formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
     p._negative_number_matcher = NEGATIVE_NUMBER  # private argparse attribute; tests pin it
     for name, kw in VERBS[verb].args:
         p.add_argument(name, **kw)

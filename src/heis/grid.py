@@ -58,6 +58,7 @@ import threading
 from typing import Callable, Sequence, TextIO, Tuple
 
 from . import _Numpy, _Value
+from .core import _dot
 from .errors import (DimensionError, ParameterError, dimension, finite_scalar, finite_vector,
                      integer, integers)
 from .lattice import LatticeElement, linverse, lmul
@@ -133,7 +134,12 @@ class GridFunction:
     def max_abs_diff(self, other: "GridFunction") -> float:
         if self.spec is not other.spec and self.spec != other.spec:
             raise DimensionError("grid functions live on different grids")
-        return float(np.maximum.reduce(np.abs(self.values - other.values), axis=None))
+        return _max_abs_diff(self.values, other.values)
+
+
+def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over every element: NaN if one is NaN, of one function or a stack."""
+    return float(np.maximum.reduce(np.abs(a - b), axis=None))
 
 
 def _n_vector(v: Sequence, n: int, name: str) -> Sequence:
@@ -225,14 +231,12 @@ def _monomial(p: Tuple, q: Tuple, s, spec: GridSpec) -> Tuple:
     exp(2 pi i (s + q . (j - p)) / N) f[(j - p) mod N].
 
     Each component is a Python int, or an int array of shape (B,) + (1,) * n
-    for a stack of B operators.  The move is p's `_source` index, read from the
-    `_operator` cache when p's components are ints.  The exponent is U_q's and
-    the central exponent is s mod N, each in its own broadcast shape.
+    for a stack of B operators.  The move is p's `_source` index, the exponent
+    is U_q's and the central exponent is s mod N, each in its own broadcast shape.
     """
     N = spec.N
     axes = _tables(spec.n, N)[1]
-    move = _operator("T", p, spec) if isinstance(p[0], int) else _source(p, N, axes)
-    return move, _exponent(q, N, axes), s % N
+    return _source(p, N, axes), _exponent(q, N, axes), s % N
 
 
 def _apply(move: np.ndarray, phases, alpha, values: np.ndarray) -> np.ndarray:
@@ -278,7 +282,7 @@ def apply_C(alpha: complex, f: GridFunction) -> GridFunction:
 def weyl_alpha(p: Sequence[int], q: Sequence[int], spec: GridSpec) -> complex:
     """The scalar exp(2 pi i (q . p) / N) with U o T = T o U o C_alpha."""
     pv, qv = _check_vec(p, spec.n, "p"), _check_vec(q, spec.n, "q")
-    return complex(_tables(spec.n, spec.N)[0][sum(a * b for a, b in zip(qv, pv)) % spec.N])
+    return complex(_tables(spec.n, spec.N)[0][_dot(qv, pv) % spec.N])
 
 
 # --- the representation -----------------------------------------------------

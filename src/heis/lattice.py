@@ -18,13 +18,15 @@ Arithmetic uses Python integers throughout, so no overflow is possible.
 A word's terms recur (a few generator powers make up most words), so
 `parse_word` reads each distinct term once: it splits the text on whitespace
 and keeps each term's reading, its token or its first fault, in a cache keyed
-by the term's text alone, of at most 512 terms of at most 32 characters.  The
-check of an index against n and the offset of an error stay per call, so the
-tokens and the errors equal those of a per-character scan of the text.
+by the term's text alone, of the 512 most recently used terms of at most 32
+characters.  The check of an index against n and the offset of an error stay
+per call, so the tokens and the errors equal those of a per-character scan of
+the text.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import List, Tuple
 
@@ -176,15 +178,10 @@ def _word(n: int, tokens: tuple) -> Word:
 
 
 _TERM_RE = re.compile(r"([abc])([0-9]*)(?:\^(-?[0-9]+))?")
-
-# term text -> `_read_term(term)`.  A key holds at most _TERM_KEY_MAX
-# characters, fewer digits than int() ever refuses (the limit is 0 or at
-# least 640), so no entry depends on that setting.  Tokens are frozen, so
-# words share them.  Threads that insert at once may each add one entry past
-# the size before the next insert empties the cache.
-_TERMS: dict = {}
-_TERM_CACHE_SIZE = 512  # entries; a full cache is emptied before the next one
-_TERM_KEY_MAX = 32  # characters; a longer term is read afresh at each use
+# A cached term holds at most this many characters, fewer digits than int()
+# ever refuses (the limit is 0 or at least 640), so no entry depends on that
+# setting; a longer term is read afresh at each use.
+_TERM_KEY_MAX = 32
 
 
 def parse_word(text: str, n: int) -> Word:
@@ -192,24 +189,17 @@ def parse_word(text: str, n: int) -> Word:
     each optionally followed by `^<int>`.  Exponent-0 terms are dropped.
 
     Each term is read once through a cache keyed by its text alone: terms of
-    at most 32 characters, at most 512 of them (a full cache is emptied
-    before the next goes in).  The check of the index against n and the
-    offset of an error in `text` stay per call, so the tokens, or the error
-    type, message and offset, equal those of a per-character scan of `text`.
+    at most 32 characters, the 512 most recently used of them (the least
+    recently used is dropped first).  The check of the index against n and
+    the offset of an error in `text` stay per call, so the tokens, or the
+    error type, message and offset, equal those of a per-character scan of
+    `text`.
     """
     n = dimension(n)
     tokens: List[GeneratorToken] = []
     terms = text.split()  # splits where str.isspace does
-    cached = _TERMS.get
     for term in terms:
-        entry = cached(term)
-        if entry is None:
-            entry = _read_term(term)
-            if len(term) <= _TERM_KEY_MAX:
-                if len(_TERMS) >= _TERM_CACHE_SIZE:
-                    _TERMS.clear()
-                _TERMS[term] = entry
-        token, index, fault = entry
+        token, index, fault = _term(term) if len(term) <= _TERM_KEY_MAX else _read_term(term)
         if not 1 <= index <= n:
             raise WordSyntaxError(f"index {index} out of range [1, {n}]", _start(text, terms, term))
         if fault is not None:
@@ -252,6 +242,9 @@ def _read_term(term: str) -> tuple:
     if end < len(term):
         return None, checked, (f"unexpected character {term[end]!r}", end)
     return (_token(kind, index, exponent) if exponent else None), checked, None
+
+
+_term = functools.lru_cache(maxsize=512)(_read_term)  # tokens are frozen, so words share them
 
 
 def _start(text: str, terms: List[str], term: str) -> int:

@@ -102,17 +102,13 @@ def components(obj):
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Counts the validating runs of the validating types: their
-    `__post_init__`, or their own `__init__` where they define no
-    `__post_init__`."""
+    """Counts the validating runs of the validating types: their own `__init__`."""
     count = [0]
     for cls in VALIDATING:
-        name = "__post_init__" if hasattr(cls, "__post_init__") else "__init__"
-
-        def counted(self, *args, _check=getattr(cls, name), **kwargs):
+        def counted(self, *args, _check=cls.__init__, **kwargs):
             count[0] += 1
             _check(self, *args, **kwargs)
-        monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return count
 
 

@@ -1,3 +1,4 @@
+import argparse
 import sys
 import warnings
 
@@ -293,7 +294,7 @@ class TestExitCodes:
                                        "-Infinity", "-nan", "-1_000"])
     def test_negative_value_exit_code_is_spelling_free(self, capsys, value):
         # argparse alone reads `-1e-3` and `-inf` as options (exit 64) unless
-        # they are joined with `=`; this pins cli._Parser's private matcher
+        # they are joined with `=`; this pins the verb parsers' private matcher
         spaced = run(capsys, "dilate", "--n", "1", "--r", value, "1;1;1")
         joined = run(capsys, "dilate", "--n", "1", f"--r={value}", "1;1;1")
         assert spaced == joined
@@ -438,13 +439,13 @@ class TestParserCache:
 
     def test_main_builds_each_parser_at_most_once(self, capsys, monkeypatch):
         built = []
+        init = argparse.ArgumentParser.__init__
 
-        class Counted(cli._Parser):
-            def __init__(self, **kwargs):
-                built.append(kwargs["prog"])
-                super().__init__(**kwargs)
+        def counted(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_Parser", Counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         cli._verb_parser.cache_clear()
         try:
             for _ in range(3):
@@ -454,7 +455,7 @@ class TestParserCache:
                 assert run(capsys, "commutator", "--in", "f.txt", "--N", "8")[0] == 64
             assert sorted(built) == ["heis commutator", "heis eval", "heis mul"]
         finally:
-            cli._verb_parser.cache_clear()  # no Counted parser outlives the patch
+            cli._verb_parser.cache_clear()  # no parser built under the patch outlives it
 
     def test_seed_default_is_read_per_call(self, capsys, monkeypatch):
         cli._verb_parser.cache_clear()

@@ -179,15 +179,20 @@ class TestTermCache:
                 lattice.parse_word(text, 1)
 
     def test_the_cache_is_bounded_in_entries_and_key_length(self):
-        size, key_max = lattice._TERM_CACHE_SIZE, lattice._TERM_KEY_MAX
-        for e in range(1, 3 * size):
+        cache = lattice._term
+        for e in range(1, 3 * 512):
             lattice.parse_word(f"a1^{e} c^-{e}", 1)
-            assert len(lattice._TERMS) <= size
-        long_term = "c^" + "1" * key_max
+            assert cache.cache_info().currsize <= 512
+        cache.cache_clear()
+        long_term = "c^" + "1" * (lattice._TERM_KEY_MAX - 1)  # 33 characters
         assert len(lattice.parse_word(f"a1 {long_term} {long_term}", 1).tokens) == 3
-        assert long_term not in lattice._TERMS
-        assert max(map(len, lattice._TERMS)) <= key_max
-        assert all(not any(ch.isspace() for ch in key) for key in lattice._TERMS)
+        assert cache.cache_info().currsize == 1  # a1 alone is kept
+        assert len(lattice.parse_word(long_term[:-1], 1).tokens) == 1
+        assert cache.cache_info().currsize == 2  # a 32-character term is kept
+        cache.cache_clear()
+        # the kept keys are the split terms: a1, b1^2 and c, a1 read once
+        assert len(lattice.parse_word("a1\x85b1^2\tc\x1ca1", 1).tokens) == 4
+        assert cache.cache_info()[:2] == (1, 3) and cache.cache_info().currsize == 3
 
 
 class TestEvaluate:

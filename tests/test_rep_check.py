@@ -197,6 +197,37 @@ def test_gather_ahead_of_the_phases_fails(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith("result: FAIL\n")
 
 
+def test_a_nan_operator_fails(monkeypatch, capsys):
+    """An operator that returns NaN samples makes every deviation NaN: the
+    report prints it and the verb exits 4, where `max(0.0, nan)` read 0."""
+    apply = grid._apply
+    monkeypatch.setattr(grid, "_apply", lambda *args: apply(*args) * np.nan)
+    assert cli.main(["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]) == 4
+    out = capsys.readouterr().out
+    for label in ("max weyl-relation deviation", "max homomorphism deviation",
+                  "max inverse deviation"):
+        assert _report_value(out, label) == "nan", label
+    assert out.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_one_nan_deviation_fails(which, monkeypatch):
+    """A NaN in any one property, in any block, fails the check."""
+    deviations = checks._rep_deviations
+
+    def one_nan(*args):
+        devs = list(deviations(*args))
+        devs[which] = float("nan")
+        return tuple(devs)
+
+    monkeypatch.setattr(checks, "BLOCK_VALUES", 8)  # one trial a block
+    monkeypatch.setattr(checks, "_rep_deviations", one_nan)
+    text, ok = checks.rep_check(1, 8, 3, 0)
+    assert not ok and text.endswith("result: FAIL\n")
+    assert [line.endswith(": nan") for line in text.splitlines()[2:5]] == [
+        i == which for i in range(3)]
+
+
 def test_a_shift_acting_as_the_identity_fails_the_kernel_check(monkeypatch):
     """A monomial kernel that drops p makes the unit shift the identity: the
     kernel check names the violation and fails."""

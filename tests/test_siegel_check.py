@@ -9,7 +9,7 @@ compare the kernels on arrays with the same kernels on Python numbers.
 import numpy as np
 import pytest
 
-from heis import checks, siegel
+from heis import checks, cli, siegel
 
 SEEDS = (0, 5, 11, 271828)
 
@@ -129,6 +129,22 @@ def test_an_action_without_i_z2_breaks_height_invariance(monkeypatch):
     assert float(_report_value(text, "max height-invariance deviation")) > checks.SIEGEL_TOL
     g, _, p = next(per_trial_samples(3, 1, 5))
     assert abs(siegel.height(siegel.act(g, p)) - siegel.height(p)) > checks.SIEGEL_TOL
+
+
+def test_a_nan_dilation_fails(monkeypatch, capsys):
+    """Dilations that return NaN make the equivariance deviation NaN: the
+    report prints it and the verb exits 4, where `max(0.0, nan)` read 0."""
+    dilate = siegel._dilate
+
+    def nan_dilate(r, v, s):
+        v, s = dilate(r, v, s)
+        return tuple(c * np.nan for c in v), s * np.nan
+
+    monkeypatch.setattr(siegel, "_dilate", nan_dilate)
+    assert cli.main(["siegel-check", "--n", "1", "--trials", "20", "--seed", "0"]) == 4
+    out = capsys.readouterr().out
+    assert _report_value(out, "max dilation-equivariance deviation") == "nan"
+    assert out.endswith("result: FAIL\n")
 
 
 def rows(result):
