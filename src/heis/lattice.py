@@ -11,7 +11,8 @@ central element c = (0, 0, 1), subject to
 
 Every element (k, l, m) equals the word a_1^k1 ... a_n^kn b_1^l1 ... b_n^ln c^m
 and that expression is unique, so normalization proceeds by evaluating a word
-to its triple and re-emitting the normal form.
+to its triple and re-emitting the normal form.  A word is evaluated by one
+fold of `core.law` over its tokens' plain components, with no element per token.
 
 Arithmetic uses Python integers throughout, so no overflow is possible.
 
@@ -100,19 +101,17 @@ def token_element(tok: "GeneratorToken", n: int) -> LatticeElement:
     n = dimension(n)
     if tok.kind != "c" and not 1 <= tok.index <= n:
         raise DimensionError(f"generator index {tok.index} out of range [1, {n}]")
-    return _power(tok, n)
+    return _element(*_power(tok, n))
 
 
-def _power(tok: "GeneratorToken", n: int) -> LatticeElement:
-    """`token_element` for a token whose index is known to fit dimension n."""
+def _power(tok: "GeneratorToken", n: int) -> tuple:
+    """The plain components (k, l, m) of a generator power whose index fits n."""
     e = tok.exponent
     zeros = (0,) * n
-    if tok.kind in ("a", "b"):
-        step = tuple(e if i == tok.index - 1 else 0 for i in range(n))
-        if tok.kind == "a":
-            return _element(step, zeros, 0)
-        return _element(zeros, step, 0)
-    return _element(zeros, zeros, e)
+    if tok.kind == "c":
+        return zeros, zeros, e
+    step = zeros[:tok.index - 1] + (e,) + zeros[tok.index:]
+    return (step, zeros, 0) if tok.kind == "a" else (zeros, step, 0)
 
 
 # --- words ------------------------------------------------------------------
@@ -255,13 +254,14 @@ def _start(text: str, terms: List[str], term: str) -> int:
 
 
 def evaluate_word(w: Word) -> LatticeElement:
-    """Left-to-right product of the token powers under the group law."""
+    """Left-to-right product of the token powers: one fold of the group law
+    `core.law` over plain components, from (0, 0, 0), and one element at the end."""
     n = w.n
-    zeros = (0,) * n
-    acc = _element(zeros, zeros, 0)
+    k = l = (0,) * n
+    m = 0
     for tok in w.tokens:
-        acc = lmul(acc, _power(tok, n))
-    return acc
+        k, l, m = law(k, l, m, *_power(tok, n))
+    return _element(k, l, m)
 
 
 def normal_form(g: LatticeElement) -> Word:
@@ -300,23 +300,28 @@ class RelationReport(_Value):
         return not self.counterexamples
 
 
-def check_relations(n: int) -> RelationReport:
-    """Evaluate both sides of every defining relation for all index pairs."""
-    n = dimension(n)
-    a = [_power(_token("a", j, 1), n) for j in range(1, n + 1)]
-    b = [_power(_token("b", j, 1), n) for j in range(1, n + 1)]
-    c = _power(_token("c", 0, 1), n)
-    relations = []  # (label, lhs, rhs)
+def _relations(n: int):
+    """Each defining relation for all index pairs as (label template, i, j, lhs, rhs)."""
+    a = [_element(*_power(_token("a", j, 1), n)) for j in range(1, n + 1)]
+    b = [_element(*_power(_token("b", j, 1), n)) for j in range(1, n + 1)]
+    c = _element(*_power(_token("c", 0, 1), n))
     for i in range(1, n + 1):
         ai, bi = a[i - 1], b[i - 1]
-        relations.append((f"a{i} c = c a{i}", lmul(ai, c), lmul(c, ai)))
-        relations.append((f"b{i} c = c b{i}", lmul(bi, c), lmul(c, bi)))
-        relations.append((f"b{i} a{i} = a{i} b{i} c", lmul(bi, ai), lmul(lmul(ai, bi), c)))
+        yield "a{i} c = c a{i}", i, 0, lmul(ai, c), lmul(c, ai)
+        yield "b{i} c = c b{i}", i, 0, lmul(bi, c), lmul(c, bi)
+        yield "b{i} a{i} = a{i} b{i} c", i, 0, lmul(bi, ai), lmul(lmul(ai, bi), c)
         for j in range(1, n + 1):
             aj, bj = a[j - 1], b[j - 1]
-            relations.append((f"a{i} a{j} = a{j} a{i}", lmul(ai, aj), lmul(aj, ai)))
-            relations.append((f"b{i} b{j} = b{j} b{i}", lmul(bi, bj), lmul(bj, bi)))
+            yield "a{i} a{j} = a{j} a{i}", i, j, lmul(ai, aj), lmul(aj, ai)
+            yield "b{i} b{j} = b{j} b{i}", i, j, lmul(bi, bj), lmul(bj, bi)
             if i != j:
-                relations.append((f"a{i} b{j} = b{j} a{i}", lmul(ai, bj), lmul(bj, ai)))
-    bad = tuple(f"{label}: {lhs} != {rhs}" for label, lhs, rhs in relations if lhs != rhs)
-    return RelationReport(len(relations), bad)
+                yield "a{i} b{j} = b{j} a{i}", i, j, lmul(ai, bj), lmul(bj, ai)
+
+
+def check_relations(n: int) -> RelationReport:
+    """Compare both sides of each defining relation as it is formed; label only a failure."""
+    checked, bad = 0, []
+    for checked, (label, i, j, lhs, rhs) in enumerate(_relations(dimension(n)), 1):
+        if lhs != rhs:
+            bad.append(f"{label.format(i=i, j=j)}: {lhs} != {rhs}")
+    return RelationReport(checked, tuple(bad))

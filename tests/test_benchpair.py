@@ -171,6 +171,8 @@ SIZED_ROWS = {
     "rep-check@n2-N64": ["rep-check", "--n", "2", "--N", "64", "--trials", "200", "--seed", "0"],
     "siegel-check@n200": ["siegel-check", "--n", "200", "--trials", "4096", "--seed", "0"],
     "siegel-check@n3-1e5": ["siegel-check", "--n", "3", "--trials", "100000", "--seed", "0"],
+    "relcheck@n80": ["relcheck", "--n", "80"],
+    "eval@n3-2000": ["eval", "--n", "3", " ".join(["b1 a1 b2^2 a2^-1 c b3^-3 a3^4 a1^-2"] * 250)],
 }
 
 

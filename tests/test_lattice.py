@@ -2,14 +2,16 @@ import operator
 import random
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heis import checks, cli, core, lattice
 from heis.errors import DimensionError, ParameterError, WordSyntaxError, digit_limit
+from test_law import matmul, matrix, triple as matrix_triple
 
 
 def triple(k, l, m):
@@ -267,6 +269,39 @@ class TestNormalize:
             nw = lattice.normalize_word(w)
             assert lattice.evaluate_word(nw) == lattice.evaluate_word(w)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 3),
+                                                 st.integers(-2**80, 2**80).filter(bool)),
+                                       max_size=40))
+    @example(1, [])
+    @example(2, [("b", 2, 2**70), ("a", 2, -2**65 - 1), ("c", 1, 3**50), ("a", 1, 2**64)])
+    def test_evaluation_matches_the_matrix_product(self, n, terms):
+        """evaluate_word against an independent oracle: the exact product of
+        the tokens' unitriangular integer matrices, as tests/test_law.py
+        builds them, from the empty word to exponents beyond 2^64."""
+        zeros = (0,) * n
+        product, tokens = matrix(zeros, zeros, 0), []
+        for kind, index, e in terms:
+            index = 0 if kind == "c" else (index - 1) % n + 1
+            step = tuple(e if j == index else 0 for j in range(1, n + 1))
+            factor = {"a": (step, zeros, 0), "b": (zeros, step, 0), "c": (zeros, zeros, e)}[kind]
+            product = matmul(product, matrix(*factor))
+            tokens.append(lattice.GeneratorToken(kind, index, e))
+        g = lattice.evaluate_word(lattice.Word(n, tokens))
+        assert (g.k, g.l, g.m) == matrix_triple(product)
+
+    def test_words_are_evaluated_without_lmul(self, monkeypatch):
+        """Evaluation and normalization fold the law over plain components:
+        no lmul per token, whichever form the fold takes."""
+        def refuse(g, h):
+            raise AssertionError("lmul called")
+
+        monkeypatch.setattr(lattice, "lmul", refuse)
+        w = lattice.parse_word("b1 a1 b2^2 a2^-1 c a1^3", 2)
+        assert lattice.evaluate_word(w) == lattice.LatticeElement((4, -1), (1, 2), 3)
+        assert str(lattice.normalize_word(w)) == "a1^4 a2^-1 b1 b2^2 c^3"
+        assert lattice.evaluate_word(lattice.parse_word("", 2)) == lattice.LatticeElement.identity(2)
+
 
 class TestRelations:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -283,6 +318,18 @@ class TestRelations:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DimensionError):
             lattice.check_relations(0)
+
+    def test_the_check_keeps_no_relation_after_comparing_it(self):
+        """Each relation is compared as it is formed, so memory does not grow
+        with the n^2 relations: the tracemalloc peak at n = 64 stays under 1 MiB."""
+        tracemalloc.start()
+        try:
+            report = lattice.check_relations(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.checked == 3 * 64 + 2 * 64 * 64 + 64 * 63
+        assert peak < 2**20
 
     def test_a_law_without_its_central_term_fails(self, monkeypatch, capsys):
         """Dropping x' . y from the law breaks exactly b_i a_i = a_i b_i c: the
