@@ -2,8 +2,9 @@
 operator representation, and the affine action on the Siegel upper half-space.
 
 The value types (`core.RealElement`, `lattice.LatticeElement`, `grid.GridSpec`,
-...) are frozen values on `_Value`, and importing heis imports neither
-`dataclasses` nor numpy (`_Numpy`)."""
+`grid.GridFunction`, ...) are frozen values on `_Value`, which also makes each
+type's unchecked builder from its fields (`_Value._builder`), and importing
+heis imports neither `dataclasses` nor numpy (`_Numpy`)."""
 
 __version__ = "0.1.0"
 
@@ -11,9 +12,10 @@ __version__ = "0.1.0"
 class _Value:
     """A frozen value whose fields, named once in its class as
     `__match_args__ = _fields = (...)`, are exactly its `__dict__`, written in
-    that order by its `__init__` or its unchecked builder.  It behaves as
-    `@dataclass(frozen=True)` does: equality and hash on the field tuple, the
-    repr `Name(f=v, ...)`, and `FrozenInstanceError` on assignment or deletion."""
+    that order by its `__init__` or by the unchecked builder `_builder` makes.
+    It behaves as `@dataclass(frozen=True)` does: equality and hash on the
+    field tuple, the repr `Name(f=v, ...)`, and `FrozenInstanceError` on
+    assignment or deletion."""
 
     __slots__ = ()  # each subclass adds its own __dict__, as a dataclass's class does
     _fields = ()
@@ -29,6 +31,20 @@ class _Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+    @classmethod
+    def _builder(cls):
+        """The unchecked builder of `cls`: a function of its fields, in order,
+        that writes each by name into a new instance's `__dict__` and checks
+        nothing.  Its code is written out for the field count, as a
+        dataclass's `__init__` is: a loop over the names takes twice as long
+        a build.  Field names are public, so none is one of its own `_` names."""
+        names = ", ".join(cls._fields)
+        slots = ", ".join(f"_dict[{name!r}]" for name in cls._fields)
+        namespace = {"_new": object.__new__, "_cls": cls}
+        exec(f"def build({names}):\n _obj = _new(_cls)\n _dict = _obj.__dict__\n"
+             f" {slots} = {names}\n return _obj\n", namespace)
+        return namespace["build"]
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError  # only on this error path

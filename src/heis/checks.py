@@ -4,9 +4,10 @@ Every suite takes an integer seed and a trial count and returns a plain-text
 report plus a pass flag.  Randomness comes from numpy's default PCG64
 generator seeded directly with the given seed, and all numbers are printed
 with fixed formatting, so identical seeds give byte-identical reports with
-the same numpy build and CPU features: numpy may fuse a complex product's
-multiply and add where the CPU can, which moves the last digits of the
-printed deviations.
+the same numpy build and CPU features: numpy's complex `*` and complex
+`np.abs` give different bits under different SIMD dispatch (the kernels numpy
+picks for the CPU, AVX2 or AVX-512 on x86), which moves the last digits of
+the printed deviations.
 
 rep-check and siegel-check run their trials in blocks of BLOCK_VALUES values,
 or of one trial if it holds more: N^n grid points per rep-check trial, 6n + 4
@@ -28,10 +29,8 @@ once and applied by `grid._apply`, the one formula `grid.rep` applies: both
 orientations of the Weyl relation, the homomorphism and the inverse.  A
 block holds f (its draw is freed first), rep(g)'s integer data and phases,
 and one stage's operators and products at a time.  The kernel check reads
-the operators' integer data, O(N^n + N), once per (n, N) and kernel
-functions in a process, before the first block: it is kept for 16 sizes,
-keyed on `grid._monomial` and `grid._is_identity` too, so a patched kernel
-is checked afresh.
+the operators' integer data, O(N^n + N), once per (n, N) in a process,
+before the first block: it is kept for 16 sizes.
 
 siegel-check draws each block with one `uniform` call, the same doubles in
 the same order as drawing each trial alone, and runs the `siegel` kernels,
@@ -151,17 +150,17 @@ def _rep_deviations(spec: grid.GridSpec, g: Tuple, g2: Tuple, f: np.ndarray) -> 
 
 
 @functools.lru_cache(maxsize=16)
-def _kernel_violations(spec: grid.GridSpec, monomial, is_identity) -> Tuple[str, ...]:
+def _kernel_violations(spec: grid.GridSpec) -> Tuple[str, ...]:
     """The kernel check, read off the operators' integer data: among the 2N
     central elements (0, 0, s), exactly those with s divisible by N act as the
-    identity, and the unit shift does not.  Kept for 16 sizes, keyed also on
-    the kernel functions it calls, so that a patched kernel is checked afresh."""
+    identity, and the unit shift does not.  Kept for 16 sizes."""
     n, N = spec.n, spec.N
     zeros, central = (0,) * n, np.arange(2 * N)
-    identity = is_identity(monomial(zeros, zeros, central.reshape((-1,) + (1,) * n), spec), spec)
+    data = grid._monomial(zeros, zeros, central.reshape((-1,) + (1,) * n), spec)
+    identity = grid._is_identity(data, spec)
     lines = [f"kernel violation at s={s}"
              for s in np.flatnonzero(identity != (central % N == 0)).tolist()]
-    if is_identity(monomial((1,) + zeros[1:], zeros, 0, spec), spec)[0]:
+    if grid._is_identity(grid._monomial((1,) + zeros[1:], zeros, 0, spec), spec)[0]:
         lines.append("kernel violation: nontrivial shift acts as identity")
     return tuple(lines)
 
@@ -176,7 +175,7 @@ def rep_check(n: int, N: int, trials: int, seed: int) -> Tuple[str, bool]:
     lines = [f"rep-check: n={n} N={N} L=1 lambda=1 trials={trials} seed={seed}"]
 
     # before any block's arrays, so that its own do not add to theirs
-    violations = _kernel_violations(spec, grid._monomial, grid._is_identity)
+    violations = _kernel_violations(spec)
     worst = (0.0, 0.0, 0.0)  # the Weyl relation's, the homomorphism's and the inverse's
     for block, (g, g2, f) in enumerate(_rep_blocks(rng, spec, trials)):
         if block == 0:  # the first trial's integers, as Python ints

@@ -55,12 +55,7 @@ class RealElement(_Value):
         return _real(zeros, zeros, 0.0)
 
 
-def _real(x: tuple, y: tuple, t: float) -> RealElement:
-    """The RealElement (x, y, t), unchecked: its fields as `__init__` leaves them."""
-    obj = object.__new__(RealElement)
-    fields = obj.__dict__
-    fields["x"], fields["y"], fields["t"] = x, y, t
-    return obj
+_real = RealElement._builder()  # unchecked: takes its fields as `__init__` leaves them
 
 
 def law(x: Sequence, y: Sequence, t, x2: Sequence, y2: Sequence, t2) -> Tuple:

@@ -96,10 +96,13 @@ class GridSpec(_Value):
         return (self.N,) * self.n
 
 
-class GridFunction:
-    """Complex samples over the periodic grid; immutable after construction."""
+class GridFunction(_Value):
+    """Complex samples over the periodic grid: a frozen value whose array is
+    read-only too.  Equality and hash are identity, as arrays have no value
+    equality."""
 
-    __slots__ = ("spec", "values")
+    __match_args__ = _fields = ("spec", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, spec: GridSpec, values):
         try:
@@ -117,19 +120,25 @@ class GridFunction:
         if not np.isfinite(arr).all():
             raise ParameterError("grid samples must be finite")
         arr.setflags(write=False)
-        self.spec, self.values = spec, arr
+        self.__dict__.update(spec=spec, values=arr)
 
-    @classmethod
-    def _wrap(cls, spec: GridSpec, arr: np.ndarray) -> "GridFunction":
-        """Adopt a freshly computed array without copying or re-validating.
+    @staticmethod
+    def _wrap(spec: GridSpec, arr: np.ndarray) -> "GridFunction":
+        """Adopt a freshly computed array without copying or re-validating: the
+        unchecked builder, which freezes the array before it writes the fields.
 
         For any array the library computed: it must be owned by the caller,
         have the grid's shape and hold complex128 samples.
         """
-        obj = object.__new__(cls)
+        obj = object.__new__(GridFunction)  # a static method: no bound method per build
         arr.setflags(write=False)
-        obj.spec, obj.values = spec, arr
+        fields = obj.__dict__
+        fields["spec"], fields["values"] = spec, arr
         return obj
+
+    def __reduce__(self):
+        # a copy or an unpickled value comes back through `_wrap`: its array read-only too
+        return self._wrap, (self.spec, self.values)
 
     def max_abs_diff(self, other: "GridFunction") -> float:
         if self.spec is not other.spec and self.spec != other.spec:

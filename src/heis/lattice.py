@@ -58,12 +58,7 @@ class LatticeElement(_Value):
         return _element(zeros, zeros, 0)
 
 
-def _element(k: tuple, l: tuple, m: int) -> LatticeElement:
-    """The LatticeElement (k, l, m), unchecked: its fields as `__init__` leaves them."""
-    obj = object.__new__(LatticeElement)
-    fields = obj.__dict__
-    fields["k"], fields["l"], fields["m"] = k, l, m
-    return obj
+_element = LatticeElement._builder()  # unchecked: takes its fields as `__init__` leaves them
 
 
 def _zeros(n: int) -> Tuple[int, ...]:
@@ -160,20 +155,8 @@ class Word(_Value):
         return " ".join(str(tok) for tok in self.tokens)
 
 
-def _token(kind: str, index: int, exponent: int) -> GeneratorToken:
-    """The GeneratorToken, unchecked: its fields as `__init__` accepts them."""
-    obj = object.__new__(GeneratorToken)
-    fields = obj.__dict__
-    fields["kind"], fields["index"], fields["exponent"] = kind, index, exponent
-    return obj
-
-
-def _word(n: int, tokens: tuple) -> Word:
-    """The Word, unchecked: its fields as `__init__` leaves them."""
-    obj = object.__new__(Word)
-    fields = obj.__dict__
-    fields["n"], fields["tokens"] = n, tokens
-    return obj
+_token = GeneratorToken._builder()  # unchecked: takes its fields as `__init__` accepts them
+_word = Word._builder()  # unchecked: takes its fields as `__init__` leaves them
 
 
 _TERM_RE = re.compile(r"([abc])([0-9]*)(?:\^(-?[0-9]+))?")

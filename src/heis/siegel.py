@@ -60,12 +60,7 @@ class ComplexElement(_Value):
         return _complex((0j,) * dimension(n), 0.0)
 
 
-def _complex(z: tuple, t: float) -> ComplexElement:
-    """The ComplexElement (z, t), unchecked: its fields as `__init__` leaves them."""
-    obj = object.__new__(ComplexElement)
-    fields = obj.__dict__
-    fields["z"], fields["t"] = z, t
-    return obj
+_complex = ComplexElement._builder()  # unchecked: takes its fields as `__init__` leaves them
 
 
 def _cdot(a: Sequence, b: Sequence):
@@ -143,12 +138,7 @@ class SiegelPoint(_Value):
         return len(self.w)
 
 
-def _point(w: tuple, sigma: complex) -> SiegelPoint:
-    """The SiegelPoint (w, sigma), unchecked: its fields as `__init__` leaves them."""
-    obj = object.__new__(SiegelPoint)
-    fields = obj.__dict__
-    fields["w"], fields["sigma"] = w, sigma
-    return obj
+_point = SiegelPoint._builder()  # unchecked: takes its fields as `__init__` leaves them
 
 
 def height(p: SiegelPoint) -> float:

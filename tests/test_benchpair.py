@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -16,6 +17,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("benchpair", ROOT / "tools" / "benchpair.py")
 benchpair = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(benchpair)
+NUMPY_RUNTIME = benchpair.numpy_runtime
+
+
+@pytest.fixture(autouse=True)
+def fixed_numpy_runtime(monkeypatch):
+    """The host's numpy reading starts a child process, which the tests that
+    fake `subprocess` would take for a run: they get a fixed reading."""
+    monkeypatch.setattr(benchpair, "numpy_runtime", lambda: "numpy (fixed)")
 
 
 def argv(tmp_path, pairs):
@@ -105,6 +114,28 @@ def test_src_lines_counts_each_checkout(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["src_lines"] == {"parent": 7, "change": 16}
     assert report["src_code_lines"] == {"parent": 7, "change": 9}
+
+
+@pytest.mark.parametrize("disable", [False, True], ids=["as-is", "dispatch-disabled"])
+def test_the_host_names_numpy_and_the_simd_extensions_it_found(disable, tmp_path, monkeypatch,
+                                                               capsys):
+    """The report's host records numpy's version and the SIMD extensions that
+    `numpy.show_runtime()` lists as found, as read by a child with the same
+    environment: with every extension found disabled, it names None."""
+    import numpy
+    numpy.show_runtime()
+    found = re.findall(r"'(\w+)'", re.search(r"'found': \[([^\]]*)\]", capsys.readouterr().out)[1])
+    if disable:
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(found))
+        found = []
+    monkeypatch.setattr(benchpair, "numpy_runtime", NUMPY_RUNTIME)
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    monkeypatch.setattr(benchpair, "run_once", lambda *args: {
+        "attempted": 1, "failed": 0, "metrics": {s["name"]: {"value": 1.0} for s in specs}})
+    out = tmp_path / "bench.json"
+    assert benchpair.main(argv(tmp_path, 1)) == 0
+    host = json.loads(out.read_text())["host"]
+    assert f", numpy {numpy.__version__}, SIMD extensions found: {' '.join(found) or None};" in host
 
 
 CRITERION = "test_03_lattice_normal_form_oracle"

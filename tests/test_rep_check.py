@@ -21,6 +21,16 @@ SEEDS = (0, 5, 11, 271828)
 SIZES = [(n, N) for n in (1, 2, 3) for N in (2, 5, 16, 1000) if N**n <= grid.MAX_GRID_POINTS]
 
 
+@pytest.fixture(autouse=True)
+def fresh_kernel_check():
+    """The kernel check is kept per size, not per kernel function, so every
+    test here starts and ends with it cleared: a test that patches or spies
+    on the kernel checks its own kernel and leaves no mutant's result kept."""
+    checks._kernel_violations.cache_clear()
+    yield
+    checks._kernel_violations.cache_clear()
+
+
 def block_stream(n, N, trials, block, seed):
     """Each trial's ((p, q, s), (p', q', s'), f samples), one call per component,
     in blocks of `block` trials: every integer of a block's trials, then every
@@ -254,16 +264,20 @@ def _identity_negated(is_identity):
 ], ids=["shift-dropped", "identity-negated"])
 def test_the_kept_kernel_check_cannot_hide_a_broken_kernel(kernel, mutant, violation,
                                                            monkeypatch, capsys):
-    """The kernel check is kept per size and per kernel function: after a run
-    at this size has kept a passing check, a broken kernel still fails it,
-    and the kernel restored passes again, all in one process."""
+    """The kernel check is kept per size only: a run at this size keeps a
+    passing check, which a patched kernel reuses until the memo is cleared.
+    Cleared, a broken kernel fails the check, and the kernel restored passes
+    again once the mutant's result is cleared, all in one process."""
     argv = ["rep-check", "--n", "1", "--N", "8", "--trials", "20", "--seed", "0"]
     assert checks.rep_check(1, 8, 20, 0)[1]
     with monkeypatch.context() as patch:
         patch.setattr(grid, kernel, mutant(getattr(grid, kernel)))
+        assert "\nkernel check: ok\n" in checks.rep_check(1, 8, 20, 0)[0]
+        checks._kernel_violations.cache_clear()
         assert cli.main(argv) == 4
         out = capsys.readouterr().out
         assert f"\n{violation}\n" in out and "\nkernel check: FAILED\n" in out
+    checks._kernel_violations.cache_clear()
     assert cli.main(argv) == 0
     assert "\nkernel check: ok\nresult: PASS\n" in capsys.readouterr().out
 

@@ -2,13 +2,18 @@
 equality and hash on the field tuple, no assignment or deletion, positional
 `match` on the fields, and copies and pickles equal to the original.
 
-Each repr below is the string the dataclass-era types printed.
+Each repr below is the string the dataclass-era types printed.  A
+`GridFunction` is a frozen value too, with the same repr, freezing and `match`,
+but its equality and hash stay identity: its samples are an array, which has
+no value equality.  Each unchecked builder is made by `_Value._builder` (or is
+`GridFunction._wrap`) and builds what the validating constructor builds.
 """
 
 import copy
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from heis import _Value, core, grid, lattice, siegel
@@ -43,7 +48,13 @@ CASES = {
     "SiegelPoint": (lambda: siegel.SiegelPoint((1j,), 2 + 3j),
                     "SiegelPoint(w=(1j,), sigma=(2+3j))",
                     siegel.SiegelPoint((1j,), 2 + 4j)),
+    "GridFunction": (lambda: grid.GridFunction(grid.GridSpec(1, 4), [0, 1, 2j, -3]),
+                     "GridFunction(spec=GridSpec(n=1, N=4), "
+                     "values=array([ 0.+0.j,  1.+0.j,  0.+2.j, -3.+0.j]))",
+                     None),
 }
+# the types whose equality and hash are on the field tuple: all but GridFunction
+BY_VALUE = sorted(set(CASES) - {"GridFunction"})
 
 
 def positional(value):
@@ -70,6 +81,8 @@ def positional(value):
             return z, t
         case siegel.SiegelPoint(w, sigma):
             return w, sigma
+        case grid.GridFunction(spec, values):
+            return spec, values
     raise AssertionError(f"no case matched {value!r}")
 
 
@@ -88,7 +101,7 @@ def test_repr_is_the_dataclass_repr(name):
     assert repr(make()) == text
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", BY_VALUE)
 def test_equality_and_hash_are_on_the_field_tuple(name):
     make, _, other = CASES[name]
     a, b = make(), make()
@@ -134,7 +147,27 @@ def test_match_reads_the_fields_by_position(name):
     assert positional(value) == field_tuple(value)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def test_grid_function_equality_and_hash_are_identity():
+    make = CASES["GridFunction"][0]
+    f, g = make(), make()
+    assert f.spec == g.spec and np.array_equal(f.values, g.values)
+    assert f == f and not f != f and hash(f) == object.__hash__(f)
+    assert f != g and not f == g
+    assert f.__eq__(g) is NotImplemented
+    assert len({f, g, f}) == 2
+
+
+def test_grid_function_copies_and_pickles_are_frozen():
+    f = CASES["GridFunction"][0]()
+    for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(clone) is grid.GridFunction and clone is not f and clone != f
+        assert clone.spec == f.spec and np.array_equal(clone.values, f.values)
+        assert list(vars(clone)) == ["spec", "values"] and not clone.values.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.values = f.values
+
+
+@pytest.mark.parametrize("name", BY_VALUE)
 def test_copies_and_pickles_equal_the_original(name):
     value = CASES[name][0]()
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -153,7 +186,7 @@ def test_the_dict_holds_the_fields_in_order():
     cg = siegel.ComplexElement((1j,), 2.0)
     p = siegel.SiegelPoint((0j,), 3j)
     word = lattice.parse_word("a1 b1^2 c", 1)
-    values = [make() for make, _, _ in CASES.values()] + [other for _, _, other in CASES.values()]
+    values = [CASES[name][0]() for name in BY_VALUE] + [CASES[name][2] for name in BY_VALUE]
     values += [core.mul(g, h), core.inverse(g), core.RealElement.identity(2), core.embed_integer(
         (1,), (2,), 3), lattice.lmul(a, a), lattice.evaluate_word(word), lattice.normal_form(a),
         lattice.normalize_word(word), *word.tokens, siegel.cmul(cg, cg), siegel.act(cg, p),
@@ -161,3 +194,37 @@ def test_the_dict_holds_the_fields_in_order():
     for value in values:
         assert list(vars(value)) == list(type(value).__match_args__), value
         assert hash(value) == hash(field_tuple(value)), value
+
+
+TOKENS = (lattice.GeneratorToken("a", 1, 2), lattice.GeneratorToken("c", 0, -1))
+# name: (the builder, its validating constructor, fields as that constructor leaves them)
+BUILDERS = {
+    "core._real": (core._real, core.RealElement, ((1.0, -0.0), (2.5, 3.0), -1e-300)),
+    "lattice._element": (lattice._element, lattice.LatticeElement, ((1, -2), (3, 4), 5)),
+    "lattice._token": (lattice._token, lattice.GeneratorToken, ("b", 2, -3)),
+    "lattice._word": (lattice._word, lattice.Word, (2, TOKENS)),
+    "siegel._complex": (siegel._complex, siegel.ComplexElement, ((1 + 2j, -0.0j), 3.0)),
+    "siegel._point": (siegel._point, siegel.SiegelPoint, ((1j,), 2 + 3j)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_builder_builds_what_the_constructor_builds(name):
+    build, cls, fields = BUILDERS[name]
+    built, want = build(*fields), cls(*fields)
+    assert type(built) is cls and built == want and hash(built) == hash(want)
+    assert repr(built) == repr(want)
+    assert list(vars(built)) == list(cls._fields)
+    assert all(got is given for got, given in zip(field_tuple(built), fields))
+
+
+def test_wrap_freezes_the_array_and_writes_the_fields_in_order():
+    spec = grid.GridSpec(2, 4)
+    arr = np.arange(16, dtype=np.complex128).reshape(spec.shape)
+    f = grid.GridFunction._wrap(spec, arr)
+    assert type(f) is grid.GridFunction and list(vars(f)) == ["spec", "values"]
+    assert f.spec is spec and f.values is arr and not arr.flags.writeable
+    assert repr(f) == repr(grid.GridFunction(spec, arr))
+    for out in (grid.apply_T((1, 0), f), grid.apply_U((0, 1), f), grid.apply_C(1j, f),
+                grid.rep(grid.QuantizedTriple((1, 2), (3, 0), 1), spec)(f)):
+        assert list(vars(out)) == ["spec", "values"] and not out.values.flags.writeable

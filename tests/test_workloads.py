@@ -2,7 +2,10 @@
 
 perfbench refuses a run in which any unit fails its oracle, but its own tests
 run only as `python -m pytest perfbench`.  This loads `perfbench/workloads.py`
-(which it leaves unchanged) and runs the units that exercise the word parser.
+(which it leaves unchanged) and runs the units that exercise the word parser,
+and the first units of the two workloads that build the most values: group-law
+(the unchecked builders of `core` and `siegel`) and grid-weyl (`GridFunction`
+and its `_wrap`).
 """
 
 import importlib
@@ -34,3 +37,11 @@ def test_every_lattice_words_unit_passes_its_oracle():
 
 def test_the_first_cli_session_units_pass_their_oracle():
     assert _failed("cli-session", 200) == []
+
+
+def test_the_first_group_law_units_pass_their_oracle():
+    assert _failed("group-law", 200) == []
+
+
+def test_the_first_grid_weyl_units_pass_their_oracle():
+    assert _failed("grid-weyl", 200) == []

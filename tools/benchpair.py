@@ -22,7 +22,8 @@ tell whether a metric such as `peak_rss_mib` follows the number of units timed.
 that a change's growth or shrink sits next to its benchmark pairs, and
 `src_code_lines` the lines of code among them: not blank, not a comment and
 not inside a docstring, so that deleting prose does not read as a smaller
-program.
+program.  `host` names numpy's version and the SIMD extensions numpy found
+on the host, since the last digits of the check reports depend on both.
 
 Each `--test ID` names a criterion of `tests/test_acceptance.py`.  Pair i runs
 it once in each checkout, each time in a fresh `python -m pytest` process, in
@@ -93,6 +94,28 @@ VERB_ARGV = {
     # one fixed word of 2000 tokens: 250 copies of eight terms
     "eval@n3-2000": ["eval", "--n", "3", " ".join(["b1 a1 b2^2 a2^-1 c b3^-3 a3^4 a1^-2"] * 250)],
 }
+
+
+# `numpy.show_runtime()`'s simd_extensions "found": the dispatch targets this CPU has
+NUMPY_RUNTIME = """import numpy
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+found = " ".join(name for name in __cpu_dispatch__ if __cpu_features__[name])
+print(f"numpy {numpy.__version__}, SIMD extensions found: {found or None}")
+"""
+
+
+def numpy_runtime() -> str:
+    """numpy's version and the SIMD extensions it found on this host, read in
+    a child process: this one loads no numpy, as every verb row's child
+    starts its peak resident set from this process's."""
+    cmd = [sys.executable, "-c", NUMPY_RUNTIME]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -244,8 +267,8 @@ def main(argv=None) -> int:
     report = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "host": f"{os.cpu_count()}-CPU {platform.machine()} host, Python "
-                f"{platform.python_version()}; times scaled to the nominal host by "
-                "perfbench/hostspeed.py",
+                f"{platform.python_version()}, {numpy_runtime()}; times scaled to the "
+                "nominal host by perfbench/hostspeed.py",
         "pairs_alternated": "odd pairs run the parent first, even pairs the change first",
         "src_lines": {side: src_lines(checkouts[side]) for side in SIDES},
         "src_code_lines": {side: src_code_lines(checkouts[side]) for side in SIDES},
